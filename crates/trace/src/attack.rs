@@ -206,6 +206,8 @@ pub struct Attacker {
     /// Round-robin offset so the budget rotates fairly across aggressors
     /// when it does not divide evenly.
     rotation: u32,
+    /// The current interval's aggressor block, reused across intervals.
+    block: Vec<RowAddr>,
 }
 
 impl Attacker {
@@ -227,28 +229,37 @@ impl Attacker {
             config,
             interval: 0,
             rotation: 0,
+            block: Vec::new(),
         }
     }
 
     /// The aggressor rows active at `interval`.
     pub fn aggressors_at(&self, interval: u64) -> Vec<RowAddr> {
+        let mut rows = Vec::new();
+        self.fill_aggressors(interval, &mut rows);
+        rows
+    }
+
+    /// Replaces `rows` with the aggressor rows active at `interval`.
+    fn fill_aggressors(&self, interval: u64, rows: &mut Vec<RowAddr>) {
+        rows.clear();
+        let spaced = |base: u32, count: u32| (0..count).map(move |j| RowAddr(base + 2 * j));
         match self.config.kind {
-            AttackKind::SingleSided { aggressor } => vec![aggressor],
+            AttackKind::SingleSided { aggressor } => rows.push(aggressor),
             AttackKind::DoubleSided { victim } => {
-                vec![RowAddr(victim.0.saturating_sub(1)), RowAddr(victim.0 + 1)]
+                rows.extend([RowAddr(victim.0.saturating_sub(1)), RowAddr(victim.0 + 1)]);
             }
-            AttackKind::Flooding { row } => vec![row],
+            AttackKind::Flooding { row } => rows.push(row),
             AttackKind::DecoyAssisted { victim, decoys } => {
-                let mut rows = vec![RowAddr(victim.0.saturating_sub(1)), RowAddr(victim.0 + 1)];
+                rows.extend([RowAddr(victim.0.saturating_sub(1)), RowAddr(victim.0 + 1)]);
                 rows.extend((0..decoys).map(|d| RowAddr(victim.0 + 10_000 + 2 * d)));
-                rows
             }
             AttackKind::MultiAggressorRamp {
                 base_row,
                 max_aggressors,
             } => {
                 let k = self.ramp_count(interval, max_aggressors);
-                (0..k.max(1)).map(|j| RowAddr(base_row.0 + 2 * j)).collect()
+                rows.extend(spaced(base_row.0, k.max(1)));
             }
             AttackKind::PhaseShifted {
                 base_row,
@@ -262,8 +273,7 @@ impl Attacker {
                     s => (elapsed / s) % PHASE_SHIFT_SLOTS,
                 };
                 let slot = u32::try_from(slot).expect("slot index below PHASE_SHIFT_SLOTS");
-                let base = base_row.0 + slot * 2 * max_aggressors;
-                (0..k.max(1)).map(|j| RowAddr(base + 2 * j)).collect()
+                rows.extend(spaced(base_row.0 + slot * 2 * max_aggressors, k.max(1)));
             }
             AttackKind::ProfilingSweep {
                 base_row,
@@ -275,7 +285,7 @@ impl Attacker {
                 let offset = u32::try_from(step % u64::from(span_rows.max(1)))
                     .expect("offset is below span_rows");
                 let victim = base_row.0 + offset;
-                vec![RowAddr(victim.saturating_sub(1)), RowAddr(victim + 1)]
+                rows.extend([RowAddr(victim.saturating_sub(1)), RowAddr(victim + 1)]);
             }
             AttackKind::RefreshSyncBurst {
                 base_row,
@@ -290,11 +300,7 @@ impl Attacker {
                     p => (elapsed + p - phase % p) % p < duty_intervals,
                 };
                 if active {
-                    (0..pairs.max(1))
-                        .map(|j| RowAddr(base_row.0 + 2 * j))
-                        .collect()
-                } else {
-                    Vec::new()
+                    rows.extend(spaced(base_row.0, pairs.max(1)));
                 }
             }
         }
@@ -404,19 +410,29 @@ impl TraceSource for Attacker {
             return false;
         }
         if self.interval >= self.config.start_interval {
-            let aggressors = self.aggressors_at(self.interval);
-            let n = u32::try_from(aggressors.len()).expect("aggressor count fits u32");
+            let mut block = std::mem::take(&mut self.block);
+            self.fill_aggressors(self.interval, &mut block);
+            let n = u32::try_from(block.len()).expect("aggressor count fits u32");
             // An empty set (a burst pattern off-duty) emits nothing and
             // leaves the rotation untouched.
             if n > 0 {
+                // Shot `s` hammers `block[(s + rotation) % n]`: walk the
+                // block cyclically from the rotation instead.
+                let first = (self.rotation % n) as usize;
+                let shots = self.config.acts_per_interval as usize;
                 for &bank in &self.config.target_banks {
-                    for shot in 0..self.config.acts_per_interval {
-                        let idx = (shot + self.rotation) % n;
-                        out.push(TraceEvent::attack(bank, aggressors[idx as usize]));
+                    let mut idx = first;
+                    for _ in 0..shots {
+                        out.push(TraceEvent::attack(bank, block[idx]));
+                        idx += 1;
+                        if idx == block.len() {
+                            idx = 0;
+                        }
                     }
                 }
                 self.rotation = (self.rotation + self.config.acts_per_interval) % n;
             }
+            self.block = block;
         }
         self.interval += 1;
         true

@@ -47,6 +47,18 @@ impl CacheConfig {
     }
 }
 
+/// `(x / d, x % d)`, by shift and mask when `d` is a power of two —
+/// Table I's set counts and the paper geometry's bank, row and line
+/// counts all are, and a hardware divide costs tens of cycles.
+#[inline]
+pub(crate) fn div_rem(x: u64, d: u64) -> (u64, u64) {
+    if d.is_power_of_two() {
+        (x >> d.trailing_zeros(), x & (d - 1))
+    } else {
+        (x / d, x % d)
+    }
+}
+
 /// An LRU set-associative cache over line addresses.
 ///
 /// ```
@@ -61,8 +73,15 @@ impl CacheConfig {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// Per-set tag stacks, most recently used first.
-    sets: Vec<Vec<u64>>,
+    /// Set count (`config.sets()`, hoisted out of every lookup).
+    sets: u64,
+    /// Associativity, as an index stride.
+    ways: usize,
+    /// One flat `sets × ways` tag array: set `s` owns
+    /// `tags[s * ways..][..lens[s]]`, most recently used first.
+    tags: Vec<u64>,
+    /// Valid tags per set.
+    lens: Vec<usize>,
     hits: u64,
     misses: u64,
 }
@@ -77,47 +96,73 @@ impl Cache {
     pub fn new(config: CacheConfig) -> Self {
         assert!(config.ways > 0 && config.line_bytes > 0, "degenerate cache");
         assert!(config.sets() > 0, "cache smaller than one set");
+        let ways = config.ways as usize;
+        let sets = config.sets();
         Cache {
-            sets: vec![Vec::with_capacity(config.ways as usize); config.sets() as usize],
             config,
+            sets: u64::from(sets),
+            ways,
+            tags: vec![0; sets as usize * ways],
+            lens: vec![0; sets as usize],
             hits: 0,
             misses: 0,
         }
     }
 
-    // Reduced modulo the set count, which itself came from a usize.
+    // Reduced modulo the set count, which itself came from a u32.
     #[allow(clippy::cast_possible_truncation)]
     fn set_index(&self, line: u64) -> usize {
-        (line % u64::from(self.config.sets())) as usize
+        div_rem(line, self.sets).1 as usize
+    }
+
+    /// The set holding `line`: its whole way array and valid length.
+    fn set_of(&mut self, line: u64) -> (&mut [u64], &mut usize) {
+        let set = self.set_index(line);
+        let ways = self.ways;
+        (&mut self.tags[set * ways..][..ways], &mut self.lens[set])
     }
 
     /// Accesses `line`; returns `true` on a hit.  Misses insert the line
     /// (LRU eviction).
     pub fn access(&mut self, line: u64) -> bool {
-        let set = self.set_index(line);
-        let stack = &mut self.sets[set];
-        if let Some(pos) = stack.iter().position(|&t| t == line) {
-            stack.remove(pos);
-            stack.insert(0, line);
+        let (stack, len) = self.set_of(line);
+        let hit = match stack[..*len].iter().position(|&t| t == line) {
+            // Move to front.
+            Some(pos) => {
+                stack.copy_within(..pos, 1);
+                true
+            }
+            // Insert at the front; a full set drops its LRU tag.
+            None => {
+                let keep = (*len).min(stack.len() - 1);
+                stack.copy_within(..keep, 1);
+                *len = keep + 1;
+                false
+            }
+        };
+        stack[0] = line;
+        if hit {
             self.hits += 1;
-            true
         } else {
-            stack.insert(0, line);
-            stack.truncate(self.config.ways as usize);
             self.misses += 1;
-            false
         }
+        hit
     }
 
     /// Probes without updating recency or statistics.
     pub fn contains(&self, line: u64) -> bool {
-        self.sets[self.set_index(line)].contains(&line)
+        let set = self.set_index(line);
+        self.tags[set * self.ways..][..self.lens[set]].contains(&line)
     }
 
     /// Removes `line` (the attacker's `CLFLUSH`).
     pub fn flush(&mut self, line: u64) {
-        let set = self.set_index(line);
-        self.sets[set].retain(|&t| t != line);
+        let (stack, len) = self.set_of(line);
+        // A set never holds a tag twice: only misses insert.
+        if let Some(pos) = stack[..*len].iter().position(|&t| t == line) {
+            stack.copy_within(pos + 1..*len, pos);
+            *len -= 1;
+        }
     }
 
     /// Hits observed.
@@ -194,6 +239,114 @@ impl CacheHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The reference LRU: per-set tag stacks, most recently used first.
+    struct Model {
+        sets: Vec<Vec<u64>>,
+        ways: usize,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl Model {
+        fn new(config: CacheConfig) -> Self {
+            Model {
+                sets: vec![Vec::new(); config.sets() as usize],
+                ways: config.ways as usize,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn set(&mut self, line: u64) -> &mut Vec<u64> {
+            let n = self.sets.len() as u64;
+            &mut self.sets[usize::try_from(line % n).unwrap()]
+        }
+
+        fn access(&mut self, line: u64) -> bool {
+            let ways = self.ways;
+            let stack = self.set(line);
+            let hit = if let Some(pos) = stack.iter().position(|&t| t == line) {
+                stack.remove(pos);
+                true
+            } else {
+                false
+            };
+            stack.insert(0, line);
+            stack.truncate(ways);
+            if hit {
+                self.hits += 1;
+            } else {
+                self.misses += 1;
+            }
+            hit
+        }
+
+        fn contains(&mut self, line: u64) -> bool {
+            self.set(line).contains(&line)
+        }
+
+        fn flush(&mut self, line: u64) {
+            self.set(line).retain(|&t| t != line);
+        }
+
+        fn agrees(&mut self, cache: &Cache, line: u64) -> bool {
+            self.contains(line) == cache.contains(line)
+                && self.hits == cache.hits()
+                && self.misses == cache.misses()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// One cache level tracks the reference LRU through any mix of
+        /// accesses and flushes.
+        #[test]
+        fn cache_matches_reference_lru(
+            ways in 1u32..=4,
+            sets in 1u32..=4,
+            ops in proptest::collection::vec((any::<bool>(), 0u64..24), 0..200),
+        ) {
+            let config = CacheConfig { capacity_bytes: 64 * ways * sets, line_bytes: 64, ways };
+            let mut cache = Cache::new(config);
+            let mut model = Model::new(config);
+            for (flush, line) in ops {
+                if flush {
+                    cache.flush(line);
+                    model.flush(line);
+                } else {
+                    prop_assert_eq!(cache.access(line), model.access(line), "line {}", line);
+                }
+                prop_assert!(model.agrees(&cache, line), "after line {}", line);
+            }
+        }
+
+        /// The paper hierarchy tracks two reference levels; the lines
+        /// crowd a few L1 and L2 sets, so both levels evict.
+        #[test]
+        fn hierarchy_matches_reference_lru(
+            ops in proptest::collection::vec((any::<bool>(), 0u64..3, 0u64..48), 0..400),
+        ) {
+            let mut h = CacheHierarchy::paper();
+            let mut l1 = Model::new(CacheConfig::paper_l1());
+            let mut l2 = Model::new(CacheConfig::paper_l2());
+            for (flush, offset, stride) in ops {
+                let line = offset + 128 * stride;
+                if flush {
+                    h.flush(line);
+                    l1.flush(line);
+                    l2.flush(line);
+                } else {
+                    let to_dram = !l1.access(line) && !l2.access(line);
+                    prop_assert_eq!(h.access_misses_to_dram(line), to_dram, "line {}", line);
+                }
+                prop_assert!(l1.agrees(h.l1(), line), "L1 after line {}", line);
+                prop_assert!(l2.agrees(h.l2(), line), "L2 after line {}", line);
+            }
+        }
+    }
 
     #[test]
     fn paper_geometries() {

@@ -13,7 +13,7 @@
 //! with a small set of high-activation-rate rows (streaming arrays,
 //! cache-thrashing working sets), plus full-rate aggressor rows.
 
-use crate::cache::CacheHierarchy;
+use crate::cache::{div_rem, CacheHierarchy};
 use crate::event::{ShardError, TraceEvent, TraceSource};
 use crate::zipf::Zipf;
 use dram_sim::{BankId, Geometry, RowAddr};
@@ -69,6 +69,16 @@ pub struct CpuWorkloadConfig {
 }
 
 impl CpuWorkloadConfig {
+    /// See [`CpuWorkload::decode`].
+    // Both quantities are reduced modulo a u32 bound, so they fit u32.
+    #[allow(clippy::cast_possible_truncation)]
+    fn decode(&self, line: u64) -> (BankId, RowAddr) {
+        let (rest, bank) = div_rem(line, u64::from(self.banks));
+        let (row_seq, _) = div_rem(rest, u64::from(self.lines_per_row));
+        let (_, row) = div_rem(row_seq, u64::from(self.rows_per_bank));
+        (BankId(bank as u32), RowAddr(row as u32))
+    }
+
     /// A Table I-like 4-core mix: two working-set cores, one streaming
     /// core, one attacker.
     pub fn paper(geometry: &Geometry, intervals: u64) -> Self {
@@ -141,14 +151,19 @@ impl CpuWorkload {
     ///
     /// # Panics
     ///
-    /// Panics if there are no cores or the geometry is degenerate.
+    /// Panics if there are no cores or the geometry holds fewer than
+    /// two lines (`banks × rows_per_bank × lines_per_row < 2`).
     pub fn new(config: CpuWorkloadConfig, seed: u64) -> Self {
         assert!(!config.cores.is_empty(), "need at least one core");
-        assert!(config.banks > 0 && config.rows_per_bank > 0 && config.lines_per_row > 0);
         let mut rng = StdRng::seed_from_u64(seed);
         let total_lines = u64::from(config.banks)
             * u64::from(config.rows_per_bank)
             * u64::from(config.lines_per_row);
+        // Each core's base line is drawn from the lower half.
+        assert!(
+            total_lines >= 2,
+            "CPU workload needs banks × rows_per_bank × lines_per_row ≥ 2 lines, got {total_lines}"
+        );
         let cores = config
             .cores
             .iter()
@@ -179,14 +194,8 @@ impl CpuWorkload {
 
     /// Maps a global line address to `(bank, row)`: lines interleave
     /// across banks, then fill rows.
-    // Both quantities are reduced modulo a u32 bound, so they fit u32.
-    #[allow(clippy::cast_possible_truncation)]
     pub fn decode(&self, line: u64) -> (BankId, RowAddr) {
-        let banks = u64::from(self.config.banks);
-        let bank = (line % banks) as u32;
-        let row = ((line / banks) / u64::from(self.config.lines_per_row))
-            % u64::from(self.config.rows_per_bank);
-        (BankId(bank), RowAddr(row as u32))
+        self.config.decode(line)
     }
 
     /// Per-core cache filtering: fraction of core `index`'s accesses
@@ -238,12 +247,11 @@ impl TraceSource for CpuWorkload {
         if self.interval >= self.config.intervals {
             return false;
         }
-        let per_core = self.config.accesses_per_core_interval;
-        let lines_per_row = u64::from(self.config.lines_per_row);
-        let banks = u64::from(self.config.banks);
-        for core_idx in 0..self.cores.len() {
-            for _ in 0..per_core {
-                let core = &mut self.cores[core_idx];
+        let config = &self.config;
+        let lines_per_row = u64::from(config.lines_per_row);
+        let banks = u64::from(config.banks);
+        for core in &mut self.cores {
+            for _ in 0..config.accesses_per_core_interval {
                 let (line, aggressor) = match core.behavior {
                     CoreBehavior::WorkingSet { .. } => {
                         let rank = core
@@ -255,7 +263,7 @@ impl TraceSource for CpuWorkload {
                     }
                     CoreBehavior::Streaming { length_lines } => {
                         let line = core.base_line + core.cursor;
-                        core.cursor = (core.cursor + 1) % u64::from(length_lines);
+                        core.cursor = div_rem(core.cursor + 1, u64::from(length_lines)).1;
                         (line, false)
                     }
                     CoreBehavior::Attacker {
@@ -264,7 +272,7 @@ impl TraceSource for CpuWorkload {
                     } => {
                         // Round-robin over aggressor rows; CLFLUSH makes
                         // every access a DRAM activation.
-                        let k = core.cursor % u64::from(aggressor_rows.max(1));
+                        let k = div_rem(core.cursor, u64::from(aggressor_rows.max(1))).1;
                         core.cursor += 1;
                         let row = u64::from(base_row) + 2 * k;
                         // Line 0 of the row in bank 0.
@@ -273,12 +281,8 @@ impl TraceSource for CpuWorkload {
                         (line, true)
                     }
                 };
-                let to_dram = {
-                    let core = &mut self.cores[core_idx];
-                    core.hierarchy.access_misses_to_dram(line)
-                };
-                if to_dram {
-                    let (bank, row) = self.decode(line);
+                if core.hierarchy.access_misses_to_dram(line) {
+                    let (bank, row) = config.decode(line);
                     out.push(TraceEvent {
                         bank,
                         row,
@@ -356,6 +360,18 @@ mod tests {
         // Consecutive lines interleave across banks.
         let banks: std::collections::HashSet<BankId> = out.iter().map(|e| e.bank).collect();
         assert_eq!(banks.len(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs banks × rows_per_bank × lines_per_row ≥ 2 lines, got 1")]
+    fn single_line_geometry_is_rejected() {
+        let config = CpuWorkloadConfig {
+            banks: 1,
+            rows_per_bank: 1,
+            lines_per_row: 1,
+            ..CpuWorkloadConfig::paper(&Geometry::paper(), 1)
+        };
+        let _ = CpuWorkload::new(config, 1);
     }
 
     #[test]

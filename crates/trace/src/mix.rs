@@ -106,47 +106,57 @@ impl MixedTrace {
                 lane.clear();
             }
         }
+        // Split each buffer into its bank lanes one same-bank run at a
+        // time (a bank shard's buffer is a single run).
         for (index, buffer) in self.buffers.iter().enumerate() {
-            for &event in buffer {
-                let bank = event.bank.index();
+            let mut rest = buffer.as_slice();
+            while let Some(first) = rest.first() {
+                let run = rest.iter().take_while(|e| e.bank == first.bank).count();
+                let bank = first.bank.index();
                 if bank >= self.lanes.len() {
                     self.lanes
                         .resize_with(bank + 1, || vec![Vec::new(); source_count]);
                 }
-                self.lanes[bank][index].push(event);
+                self.lanes[bank][index].extend_from_slice(&rest[..run]);
+                rest = &rest[run..];
             }
         }
         // Lane indices ascend by bank id, matching the BTreeMap's
         // ascending-key iteration; banks with no traffic this interval
         // contribute nothing.
         for bank_lanes in &self.lanes {
-            let mut used = 0u32;
-            let mut cursors = [0usize; 8];
-            let mut cursors_spill;
-            let cursors: &mut [usize] = if source_count <= cursors.len() {
-                &mut cursors[..source_count]
-            } else {
-                cursors_spill = vec![0usize; source_count];
-                &mut cursors_spill
-            };
-            loop {
-                let mut progressed = false;
-                for (lane, cursor) in bank_lanes.iter().zip(cursors.iter_mut()) {
-                    if *cursor < lane.len() {
-                        let event = lane[*cursor];
-                        *cursor += 1;
-                        progressed = true;
-                        if used < self.max_acts_per_bank_interval {
-                            used += 1;
-                            batch.push_event(event.bank, event.row, event.aggressor);
-                        } else {
-                            self.dropped += 1;
-                        }
+            // Round `r` takes event `r` of every lane that long, so the
+            // round number is every lane's read position.  Rounds run
+            // while two or more lanes still hold events ...
+            let (mut longest, mut second) = (0, 0);
+            for lane in bank_lanes {
+                if lane.len() > longest {
+                    second = longest;
+                    longest = lane.len();
+                } else if lane.len() > second {
+                    second = lane.len();
+                }
+            }
+            let mut room = self.max_acts_per_bank_interval as usize;
+            for r in 0..second {
+                for event in bank_lanes.iter().filter_map(|lane| lane.get(r)) {
+                    if room > 0 {
+                        room -= 1;
+                        batch.push_event(event.bank, event.row, event.aggressor);
+                    } else {
+                        self.dropped += 1;
                     }
                 }
-                if !progressed {
-                    break;
+            }
+            // ... then the longest lane alone takes the rest of the budget.
+            for lane in bank_lanes.iter().filter(|lane| lane.len() > second) {
+                let rest = &lane[second..];
+                let kept = rest.len().min(room);
+                for event in &rest[..kept] {
+                    batch.push_event(event.bank, event.row, event.aggressor);
                 }
+                room -= kept;
+                self.dropped += (rest.len() - kept) as u64;
             }
         }
         batch.end_interval();

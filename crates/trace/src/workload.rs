@@ -35,7 +35,8 @@ pub struct WorkloadConfig {
     /// absorb most locality, so only a handful of rows per bank sustain
     /// high *activation* rates — which is also what makes the paper's
     /// 32-entry history table sufficient ("the best optimization based
-    /// on the simulated memory traces").
+    /// on the simulated memory traces").  The hot rows are drawn distinct
+    /// and non-adjacent, which needs `rows_per_bank ≥ 3·hot_rows − 2`.
     pub hot_rows: usize,
     /// Zipf exponent over the hot set.
     pub zipf_exponent: f64,
@@ -113,6 +114,8 @@ impl BankState {
 #[derive(Debug)]
 pub struct SpecLikeWorkload {
     config: WorkloadConfig,
+    /// `exp(-mean)`, the Poisson draw's stopping bound.
+    poisson_floor: f64,
     zipf: Zipf,
     banks: Vec<BankState>,
     seed: u64,
@@ -125,13 +128,16 @@ impl SpecLikeWorkload {
     /// # Panics
     ///
     /// Panics if the configuration is degenerate (zero banks or rows,
-    /// `hot_rows` of zero, or a locality outside `[0, 1]`).
+    /// `hot_rows` of zero, or a locality outside `[0, 1]`) or the bank
+    /// has fewer than `3·hot_rows − 2` rows (see
+    /// [`WorkloadConfig::hot_rows`]).
     pub fn new(config: WorkloadConfig, seed: u64) -> Self {
         Self::validate(&config);
         let banks = (0..config.banks)
             .map(|b| BankState::new(&config, seed, BankId(b)))
             .collect();
         SpecLikeWorkload {
+            poisson_floor: (-config.mean_acts_per_interval).exp(),
             zipf: Zipf::new(config.hot_rows, config.zipf_exponent),
             config,
             banks,
@@ -146,6 +152,20 @@ impl SpecLikeWorkload {
             "empty geometry"
         );
         assert!(config.hot_rows > 0, "hot set must be nonempty");
+        // The hot-set draw accepts any free row and never backtracks;
+        // each accepted row rules out itself and both neighbours, so
+        // only `rows_per_bank ≥ 3·hot_rows − 2` guarantees a free row
+        // is left for every draw.  Below it the draw can corner itself
+        // and spin forever (at `2·hot_rows − 1` rows one odd first pick
+        // already does).
+        let needed = config.hot_rows.saturating_mul(3) - 2;
+        assert!(
+            config.rows_per_bank as usize >= needed,
+            "hot_rows = {} needs rows_per_bank ≥ 3·hot_rows − 2 = {needed} \
+             (distinct, non-adjacent hot rows), got {}",
+            config.hot_rows,
+            config.rows_per_bank
+        );
         assert!(
             (0.0..=1.0).contains(&config.locality),
             "locality must be a probability"
@@ -168,14 +188,14 @@ impl SpecLikeWorkload {
     }
 
     /// Draws a Poisson count with the configured mean (Knuth's method —
-    /// the mean is small, so this is fast and allocation-free).
-    fn poisson(config: &WorkloadConfig, rng: &mut StdRng) -> u32 {
-        let l = (-config.mean_acts_per_interval).exp();
+    /// the mean is small, so this is fast and allocation-free); `floor`
+    /// is `exp(-mean)`.
+    fn poisson(config: &WorkloadConfig, floor: f64, rng: &mut StdRng) -> u32 {
         let mut k = 0u32;
         let mut p = 1.0;
         loop {
             p *= rng.random::<f64>();
-            if p <= l {
+            if p <= floor {
                 return k;
             }
             k += 1;
@@ -220,7 +240,7 @@ impl TraceSource for SpecLikeWorkload {
             if redraw {
                 bank.hot_set = Self::draw_hot_set(&self.config, &mut bank.rng);
             }
-            let n = Self::poisson(&self.config, &mut bank.rng);
+            let n = Self::poisson(&self.config, self.poisson_floor, &mut bank.rng);
             for _ in 0..n {
                 let hot: bool = bank.rng.random_bool(self.config.locality);
                 let row = if hot {
@@ -245,7 +265,8 @@ impl TraceSplit for SpecLikeWorkload {
     fn bank_shard(&self, bank: BankId) -> Box<dyn TraceSplit> {
         if self.banks.iter().any(|b| b.id == bank) {
             Box::new(SpecLikeWorkload {
-                zipf: Zipf::new(self.config.hot_rows, self.config.zipf_exponent),
+                poisson_floor: self.poisson_floor,
+                zipf: self.zipf.clone(),
                 config: self.config,
                 banks: vec![BankState::new(&self.config, self.seed, bank)],
                 seed: self.seed,
@@ -349,6 +370,37 @@ mod tests {
             w.next_interval(&mut out);
         }
         assert_ne!(before, w.hot_set(BankId(0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "needs rows_per_bank ≥ 3·hot_rows − 2 = 22")]
+    fn bank_too_small_for_hot_set_is_rejected() {
+        // 8 rows for 8 hot rows: the draw used to spin forever here.
+        let _ = SpecLikeWorkload::new(WorkloadConfig::paper(&Geometry::scaled_down(8192)), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "got 21")]
+    fn one_row_below_the_hot_set_bound_is_rejected() {
+        let mut cfg = config();
+        cfg.rows_per_bank = 21;
+        let _ = SpecLikeWorkload::new(cfg, 1);
+    }
+
+    #[test]
+    fn smallest_admitted_bank_always_draws_its_hot_set() {
+        let mut cfg = config().with_intervals(40);
+        cfg.rows_per_bank = 22;
+        cfg.phase_intervals = 1;
+        for seed in 0..200 {
+            let mut w = SpecLikeWorkload::new(cfg, seed);
+            let mut out = Vec::new();
+            while w.next_interval(&mut out) {}
+            let mut rows: Vec<u32> = w.hot_set(BankId(0)).iter().map(|r| r.0).collect();
+            rows.sort_unstable();
+            assert_eq!(rows.len(), 8);
+            assert!(rows.windows(2).all(|w| w[1] - w[0] > 1), "{rows:?}");
+        }
     }
 
     #[test]
