@@ -64,6 +64,7 @@ impl CycleBackend {
 }
 
 impl DisturbanceBackend for CycleBackend {
+    #[inline]
     fn apply(&mut self, command: Command) {
         match command {
             Command::Activate { bank, row } => {
@@ -102,6 +103,7 @@ impl DisturbanceBackend for CycleBackend {
         }
     }
 
+    #[inline]
     fn flips(&self) -> &[FlipEvent] {
         self.inner.flips()
     }

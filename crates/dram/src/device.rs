@@ -51,6 +51,9 @@ pub struct DramDevice {
     geometry: Geometry,
     timing: DramTiming,
     mapping: Box<dyn RowMapping>,
+    /// `mapping.is_identity()`, cached so a workload activation skips
+    /// the virtual `physical` call.
+    identity_mapping: bool,
     schedule: RefreshSchedule,
     banks: Vec<DisturbState>,
     interval: u64,
@@ -88,6 +91,7 @@ impl DramDevice {
         DramDevice {
             geometry,
             timing,
+            identity_mapping: mapping.is_identity(),
             mapping,
             schedule,
             banks,
@@ -147,10 +151,14 @@ impl DramDevice {
 
     /// Applies one command.
     ///
+    /// Inlined so a workload activation — the engine's per-event call —
+    /// compiles to the counter updates themselves, across crates too.
+    ///
     /// # Panics
     ///
     /// Panics if the command addresses a bank or row outside the
     /// geometry; use [`DramDevice::check`] first for untrusted input.
+    #[inline]
     pub fn apply(&mut self, command: Command) {
         match command {
             Command::Activate { bank, row } => {
@@ -158,14 +166,7 @@ impl DramDevice {
                 self.activate_physical(bank, row);
             }
             Command::Refresh => self.run_refresh_interval(),
-            Command::ActivateNeighbors { bank, row } => {
-                let neighbors = self.mapping.neighbors(row, &self.geometry);
-                for n in neighbors.iter() {
-                    self.stats.mitigation_activations += 1;
-                    self.activate_physical_raw(bank, n);
-                }
-                self.drain_flips(bank);
-            }
+            Command::ActivateNeighbors { bank, row } => self.activate_neighbors(bank, row),
             Command::RefreshRow { bank, row } => {
                 self.stats.mitigation_activations += 1;
                 self.activate_physical(bank, row);
@@ -191,13 +192,31 @@ impl DramDevice {
 
     /// Activation of a *logical* row: resolves the physical location,
     /// restores it, disturbs its physical neighbors.
+    #[inline]
     fn activate_physical(&mut self, bank: BankId, row: RowAddr) {
-        let phys = self.mapping.physical(row);
+        let phys = if self.identity_mapping {
+            row
+        } else {
+            self.mapping.physical(row)
+        };
         self.activate_physical_raw(bank, phys);
         self.drain_flips(bank);
     }
 
+    /// A mitigation's `act_n`: activates the physical neighbors of
+    /// `row`.  Kept out of [`DramDevice::apply`] so the inlined
+    /// activate path stays small.
+    fn activate_neighbors(&mut self, bank: BankId, row: RowAddr) {
+        let neighbors = self.mapping.neighbors(row, &self.geometry);
+        for n in neighbors.iter() {
+            self.stats.mitigation_activations += 1;
+            self.activate_physical_raw(bank, n);
+        }
+        self.drain_flips(bank);
+    }
+
     /// Activation semantics on an already-physical row address.
+    #[inline]
     fn activate_physical_raw(&mut self, bank: BankId, phys: RowAddr) {
         let rows = self.geometry.rows_per_bank();
         let d2 = self.distance2_sixteenths;
@@ -219,24 +238,33 @@ impl DramDevice {
         }
     }
 
+    /// Moves `bank`'s newly flipped rows into the flip log.  Flips are
+    /// rare, so the common case is one emptiness test.
+    #[inline]
     fn drain_flips(&mut self, bank: BankId) {
-        let interval = self.interval;
-        let state = &mut self.banks[bank.index()];
-        for row in state.take_new_flips() {
-            self.flips.push(FlipEvent {
-                bank,
-                row,
-                interval,
-            });
+        if self.banks[bank.index()].has_new_flips() {
+            self.record_flips(bank);
         }
+    }
+
+    #[cold]
+    fn record_flips(&mut self, bank: BankId) {
+        let interval = self.interval;
+        let rows = self.banks[bank.index()].take_new_flips();
+        self.flips.extend(rows.into_iter().map(|row| FlipEvent {
+            bank,
+            row,
+            interval,
+        }));
     }
 
     fn run_refresh_interval(&mut self) {
         let in_window = self.interval_in_window();
-        // Collect once; the schedule is shared by all banks.
-        let rows: Vec<RowAddr> = self.schedule.rows_for_interval(in_window).to_vec();
+        // The schedule is shared by all banks; borrowing its slice beside
+        // the banks (disjoint fields) keeps refresh allocation-free.
+        let rows = self.schedule.rows_for_interval(in_window);
         for state in &mut self.banks {
-            for &row in &rows {
+            for &row in rows {
                 // Auto-refresh addresses physical rows directly.
                 state.restore(row);
             }
@@ -283,6 +311,7 @@ impl DramDevice {
     }
 
     /// All recorded bit flips.
+    #[inline]
     pub fn flips(&self) -> &[FlipEvent] {
         &self.flips
     }
@@ -385,6 +414,26 @@ mod tests {
         let s = d.stats();
         assert_eq!(s.mitigation_activations, 1);
         assert_eq!(s.workload_activations, 0);
+    }
+
+    #[test]
+    fn remapped_row_activation_disturbs_its_physical_neighbors() {
+        // Logical row 1 is backed by physical row 30.
+        let mapping = crate::RemappedMapping::new(vec![(RowAddr(1), RowAddr(30))]);
+        let mut d = DramDevice::with_policies(
+            Geometry::new(64, 2, 8).unwrap(),
+            DramTiming::ddr4(),
+            Box::new(mapping),
+            &RefreshOrder::SequentialNeighbors,
+        );
+        d.apply(Command::Activate {
+            bank: BankId(0),
+            row: RowAddr(1),
+        });
+        assert_eq!(d.disturbance(BankId(0), RowAddr(29)), 1);
+        assert_eq!(d.disturbance(BankId(0), RowAddr(31)), 1);
+        assert_eq!(d.disturbance(BankId(0), RowAddr(0)), 0);
+        assert_eq!(d.disturbance(BankId(0), RowAddr(2)), 0);
     }
 
     #[test]

@@ -118,6 +118,13 @@ impl DisturbState {
         self.flipped[row.index()]
     }
 
+    /// Whether any row crossed the threshold since the last
+    /// [`DisturbState::take_new_flips`].
+    #[inline]
+    pub(crate) fn has_new_flips(&self) -> bool {
+        !self.new_flips.is_empty()
+    }
+
     /// Drains the rows that crossed the threshold since the last call.
     pub fn take_new_flips(&mut self) -> Vec<RowAddr> {
         std::mem::take(&mut self.new_flips)

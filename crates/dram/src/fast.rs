@@ -249,7 +249,7 @@ impl DisturbanceBackend for FastBackend {
         }
     }
 
-    /// Flips only ever appear in [`FastBackend::resolve_interval`].
+    /// Flips only ever appear when `Refresh` resolves the interval.
     fn defers_flips(&self) -> bool {
         true
     }

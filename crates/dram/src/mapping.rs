@@ -21,6 +21,12 @@ pub trait RowMapping: Debug + Send + Sync {
     /// replaced) rows live elsewhere.
     fn physical(&self, row: RowAddr) -> RowAddr;
 
+    /// Whether [`RowMapping::physical`] is the identity, so callers on a
+    /// per-activation path may skip the call.
+    fn is_identity(&self) -> bool {
+        false
+    }
+
     /// The physical neighbors disturbed when `row` is activated.
     ///
     /// Rows 0 and `RowsPB − 1` have only one physical neighbor, so the
@@ -104,6 +110,10 @@ impl RowMapping for IdentityMapping {
     fn physical(&self, row: RowAddr) -> RowAddr {
         row
     }
+
+    fn is_identity(&self) -> bool {
+        true
+    }
 }
 
 /// A mapping with defect-replaced rows: selected logical rows are backed
@@ -163,6 +173,7 @@ mod tests {
         assert_eq!(n.as_slice(), &[RowAddr(4), RowAddr(6)]);
         assert_eq!(n.len(), 2);
         assert!(!n.is_empty());
+        assert!(IdentityMapping.is_identity());
     }
 
     #[test]
@@ -189,6 +200,7 @@ mod tests {
             &[RowAddr(29), RowAddr(31)]
         );
         assert_eq!(m.remapped_count(), 1);
+        assert!(!m.is_identity());
     }
 
     #[test]

@@ -10,11 +10,17 @@
 //!    [`Mitigation::on_batch`] call, collecting its actions — tagged by
 //!    causing event — in an [`ActionSink`];
 //! 2. reports the segment to the observer ([`Observer::on_batch`]);
-//! 3. replays the segment event by event: ledger and device accounting
-//!    for the activation, then that event's actions applied
-//!    immediately — the exact order of the one-event-at-a-time path,
+//! 3. replays the segment in chunks, each ending at the next event that
+//!    carries actions ([`ActionSink::peek_tag`]): ledger and per-bank
+//!    counts once per run of equal bank, the chunk's activations
+//!    delivered to the backend, then that event's actions applied —
+//!    every read sees exactly the state of the one-event-at-a-time path,
 //!    so the batched engine is bit-identical to the scalar reference
-//!    ([`run_scalar`], kept for equivalence tests and benchmarks);
+//!    ([`run_scalar`], kept for equivalence tests and benchmarks).  The
+//!    only tier-specific step is delivery: a flip-deferring backend
+//!    ([`DisturbanceBackend::defers_flips`]) takes one
+//!    [`DisturbanceBackend::apply_activations`] call per chunk, any other
+//!    one `Command::Activate` per event with its flips noted on the spot;
 //! 4. issues the auto-refresh and the mitigation's
 //!    `on_refresh_interval`, applying the interval-granular actions
 //!    (CaPRoMi's collective decisions, ProHit's hot-table refresh).
@@ -57,36 +63,49 @@ use crate::config::RunConfig;
 use crate::metrics::{sort_flip_log, FlipRecord, RunMetrics};
 use crate::observe::{IntervalSnapshot, NullObserver, Observe, Observer, RunSummary, ShardInfo};
 use dram_sim::{
-    BackendSpec, BankId, Command, CycleBackend, DisturbanceBackend, DramDevice, FlipEvent, RowAddr,
+    BackendSpec, BankId, Command, CycleBackend, DisturbanceBackend, DramDevice, FlipEvent,
+    Geometry, RowAddr,
 };
 use mem_trace::{EventBatch, TraceEvent, TraceSource, TraceSplit};
-use std::collections::BTreeSet;
 use std::time::Instant;
 use tivapromi::{ActionSink, Mitigation, MitigationAction};
 
 /// Tracks which rows the attacker has hammered, for ground-truth
-/// false-positive attribution.
-#[derive(Debug, Default)]
+/// false-positive attribution: one bit per (bank, row) of the geometry,
+/// sized once at run start.  The ledger is only ever membership-tested,
+/// so it needs no order (and no hashing, rule D1).
+#[derive(Debug)]
 struct AggressorLedger {
-    // Ordered set: the ledger is only membership-tested today, but an
-    // ordered container keeps any future traversal structural (rule
-    // D1) instead of hash-seeded.
-    rows: BTreeSet<(u32, u32)>,
+    rows_per_bank: usize,
+    bits: Vec<u64>,
 }
 
 impl AggressorLedger {
-    fn record(&mut self, event: &TraceEvent) {
-        self.record_parts(event.bank, event.row, event.aggressor);
-    }
-
-    fn record_parts(&mut self, bank: BankId, row: RowAddr, aggressor: bool) {
-        if aggressor {
-            self.rows.insert((bank.0, row.0));
+    fn new(geometry: &Geometry) -> Self {
+        let rows_per_bank = geometry.rows_per_bank() as usize;
+        let rows = rows_per_bank * geometry.banks() as usize;
+        AggressorLedger {
+            rows_per_bank,
+            bits: vec![0; rows.div_ceil(64)],
         }
     }
 
+    #[inline]
+    fn record(&mut self, bank: BankId, row: RowAddr) {
+        let bit = bank.index() * self.rows_per_bank + row.index();
+        self.bits[bit / 64] |= 1 << (bit % 64);
+    }
+
     fn is_aggressor(&self, bank: BankId, row: RowAddr) -> bool {
-        self.rows.contains(&(bank.0, row.0))
+        // Rows past the bank edge (a last-row victim's upper neighbor)
+        // were never hammered.
+        if row.index() >= self.rows_per_bank {
+            return false;
+        }
+        let bit = bank.index() * self.rows_per_bank + row.index();
+        self.bits
+            .get(bit / 64)
+            .is_some_and(|word| word >> (bit % 64) & 1 == 1)
     }
 
     /// Is this action aimed at real attacker activity?
@@ -131,6 +150,19 @@ struct TriggerLedger {
 }
 
 impl TriggerLedger {
+    fn new(banks: u32) -> Self {
+        let banks = banks as usize;
+        TriggerLedger {
+            trigger_events: 0,
+            false_positive_events: 0,
+            bank_acts: vec![0; banks],
+            bank_first: vec![None; banks],
+            flips_seen: 0,
+            bank_first_flip: vec![None; banks],
+            flip_log: Vec::new(),
+        }
+    }
+
     /// Walks the backend's flip log past the ledger's cursor, appends a
     /// [`FlipRecord`] per new flip, and records, per flipping bank, the
     /// bank-local activation count of its first flip.
@@ -144,19 +176,14 @@ impl TriggerLedger {
             let event = flips[self.flips_seen];
             let bank = event.bank.index();
             self.flips_seen += 1;
-            let bank_act = self.bank_acts.get(bank).copied().unwrap_or(0);
+            let bank_act = self.bank_acts[bank];
             self.flip_log.push(FlipRecord {
                 bank: event.bank,
                 row: event.row,
                 interval: event.interval,
                 bank_act,
             });
-            if bank >= self.bank_first_flip.len() {
-                self.bank_first_flip.resize(bank + 1, None);
-            }
-            if self.bank_first_flip[bank].is_none() {
-                self.bank_first_flip[bank] = Some(bank_act);
-            }
+            self.bank_first_flip[bank].get_or_insert(bank_act);
         }
     }
 }
@@ -176,12 +203,7 @@ fn apply_action<B: DisturbanceBackend + ?Sized, O: Observer + ?Sized>(
     }
     observer.on_action(&action, true_positive);
     let bank = action.bank().index();
-    if bank >= triggers.bank_first.len() {
-        triggers.bank_first.resize(bank + 1, None);
-    }
-    if triggers.bank_first[bank].is_none() {
-        triggers.bank_first[bank] = Some(triggers.bank_acts.get(bank).copied().unwrap_or(0));
-    }
+    triggers.bank_first[bank].get_or_insert(triggers.bank_acts[bank]);
     backend.apply(action.to_command());
     // ActivateNeighbors disturbs the neighbors' neighbors and can
     // itself cross the flip threshold.
@@ -206,8 +228,7 @@ fn apply_actions<B: DisturbanceBackend + ?Sized, O: Observer + ?Sized>(
 ///
 /// The backend is chosen **once** here, then the loop monomorphises
 /// over its concrete type — the per-event hot path carries no enum or
-/// vtable dispatch, and with [`BackendSpec::Exact`] it compiles to
-/// exactly the historical device loop.  The observer type is also a
+/// vtable dispatch.  The observer type is also a
 /// generic parameter, so passing [`NullObserver`] monomorphises to the
 /// unobserved loop.
 pub fn run_observed<S: TraceSource, M: Mitigation + ?Sized, O: Observer + ?Sized>(
@@ -264,7 +285,9 @@ where
 /// The full engine loop — batched, generic over the disturbance
 /// backend: caller-provided backend and observer.
 ///
-/// Every fidelity tier shares this one loop; the backend parameter is
+/// Every fidelity tier shares this one loop, replay included —
+/// [`DisturbanceBackend::defers_flips`] only chooses how a chunk's
+/// activations reach the backend; the backend parameter is
 /// monomorphised, so each tier compiles to its own straight-line code.
 /// The mitigation decision stream is backend-independent (mitigations
 /// never read the device), so trigger/false-positive accounting is
@@ -283,7 +306,6 @@ where
     B: DisturbanceBackend + ?Sized,
     O: Observer + ?Sized,
 {
-    let banks = config.geometry.banks() as usize;
     let mut batch = EventBatch::with_target_events(config.batch_events);
     // Generously preallocated arena: steady-state segments reuse the
     // same tag/action lanes with `reset`, so the loop's decision side
@@ -292,24 +314,18 @@ where
     // lint: allow(D6) — per-run buffer made once before the interval
     // loop; every segment drains it in place.
     let mut actions: Vec<MitigationAction> = Vec::new();
-    let mut ledger = AggressorLedger::default();
-    let mut triggers = TriggerLedger {
-        trigger_events: 0,
-        false_positive_events: 0,
-        // lint: allow(D6) — per-run ledger lanes, sized once up front.
-        bank_acts: vec![0; banks],
-        bank_first: vec![None; banks],
-        flips_seen: 0,
-        // lint: allow(D6) — per-run ledger lanes, sized once up front.
-        bank_first_flip: vec![None; banks],
-        flip_log: Vec::new(),
-    };
+    let mut ledger = AggressorLedger::new(&config.geometry);
+    let mut triggers = TriggerLedger::new(config.geometry.banks());
     let mut total_acts = 0u64;
     let mut aggressor_acts = 0u64;
     let max_intervals = config.intervals();
     let mut interval = 0u64;
+    let defers_flips = backend.defers_flips();
 
     while interval < max_intervals && trace.next_batch(&mut batch, max_intervals - interval) {
+        // The columns are walked as parallel slices so the hot loop
+        // carries no per-event bounds checks.
+        let (banks_col, rows_col, aggrs_col) = batch.columns();
         for segment in 0..batch.intervals() {
             let range = batch.segment(segment);
             // Decide ahead: the mitigation sees the whole segment in
@@ -318,92 +334,60 @@ where
             sink.reset();
             mitigation.on_batch(&batch, range.clone(), &mut sink);
             observer.on_batch(&batch, range.clone());
-            // … then replay in scalar order: per event, ledger/device
-            // accounting followed immediately by that event's actions.
-            // The columns are walked as parallel slices so the hot loop
-            // carries no per-event bounds checks.
-            let (banks_col, rows_col, aggrs_col) = batch.columns();
-            let start = range.start;
-            if backend.defers_flips() {
-                // Flip-deferring tier: flips cannot appear before the
-                // `Refresh`, so per-event flip polling is dead and the
-                // replay only has to stop at *action* points (an
-                // action's trigger accounting reads the counters as of
-                // its causing event, and its true-positive check reads
-                // the ledger as of that event).  Everything between two
-                // action points collapses into column scans plus one
-                // batched device call — counters are per-chunk sums no
-                // mid-chunk code reads, so aggregation order cannot be
-                // observed.
-                let mut cur = range.start;
-                while cur < range.end {
-                    // Process up to and including the next event that
-                    // carries actions (or the whole rest of the segment).
-                    let stop = sink.peek_tag().map_or(range.end, |tag| {
-                        let tag = usize::try_from(tag).expect("event tag fits usize");
-                        (tag + 1).min(range.end)
-                    });
-                    let chunk = cur..stop;
-                    // One pass in runs of equal bank (a bank-sharded or
-                    // single-bank column is one run — [`EventBatch::bank_runs`]):
-                    // per-bank totals add per run, and the ledger — a
-                    // set — collapses a hammering run's consecutive
-                    // duplicates to one insert.
-                    for (bank_id, run) in batch.bank_runs(chunk.clone()) {
-                        let bank = bank_id.index();
-                        if bank >= triggers.bank_acts.len() {
-                            triggers.bank_acts.resize(bank + 1, 0);
-                        }
-                        triggers.bank_acts[bank] +=
-                            u64::try_from(run.len()).expect("run length fits u64");
-                        let mut last = None;
-                        for (&row, &aggressor) in
-                            rows_col[run.clone()].iter().zip(&aggrs_col[run])
-                        {
-                            if aggressor {
-                                aggressor_acts += 1;
-                                if last != Some(row) {
-                                    ledger.record_parts(bank_id, row, true);
-                                    last = Some(row);
-                                }
-                            }
-                        }
-                    }
-                    total_acts += u64::try_from(chunk.len()).expect("segment length fits u64");
-                    backend.apply_activations(&banks_col[chunk.clone()], &rows_col[chunk]);
-                    cur = stop;
-                    // Drain the actions of the chunk's last event, if it
-                    // had any (tags ascend, so equal tags drain together).
-                    if let Some(tag) = sink.peek_tag() {
-                        if usize::try_from(tag).expect("event tag fits usize") < cur {
-                            while let Some(action) = sink.next_for(tag) {
-                                apply_action(action, backend, &ledger, &mut triggers, observer);
-                            }
-                        }
-                    }
+            // … then replay in scalar order, one chunk per action point:
+            // an action's trigger accounting reads the counters as of its
+            // causing event and its true-positive check reads the ledger
+            // as of that event, so each chunk runs up to and including
+            // the next event that carries actions (or to the segment
+            // end), then drains that event's actions.  Between action
+            // points nothing reads the counters, so they add per run of
+            // equal bank ([`EventBatch::bank_runs`]).
+            let mut cur = range.start;
+            while cur < range.end {
+                let stop = sink.peek_tag().map_or(range.end, |tag| {
+                    let tag = usize::try_from(tag).expect("event tag fits usize");
+                    (tag + 1).min(range.end)
+                });
+                if defers_flips {
+                    // No flip can appear before the `Refresh`: the whole
+                    // chunk goes to the backend in one call.
+                    backend.apply_activations(&banks_col[cur..stop], &rows_col[cur..stop]);
                 }
-            } else {
-                let events = banks_col[range.clone()]
-                    .iter()
-                    .zip(&rows_col[range.clone()])
-                    .zip(&aggrs_col[range]);
-                for (offset, ((&bank_id, &row), &aggressor)) in events.enumerate() {
-                    let i = start + offset;
-                    ledger.record_parts(bank_id, row, aggressor);
+                for (bank_id, run) in batch.bank_runs(cur..stop) {
                     let bank = bank_id.index();
-                    if bank >= triggers.bank_acts.len() {
-                        triggers.bank_acts.resize(bank + 1, 0);
+                    let rows = &rows_col[run.clone()];
+                    for (&row, &aggressor) in rows.iter().zip(&aggrs_col[run]) {
+                        if aggressor {
+                            aggressor_acts += 1;
+                            ledger.record(bank_id, row);
+                        }
                     }
-                    triggers.bank_acts[bank] += 1;
-                    total_acts += 1;
-                    if aggressor {
-                        aggressor_acts += 1;
+                    let base = triggers.bank_acts[bank];
+                    if !defers_flips {
+                        // Per-event delivery.  A flip is attributed to
+                        // the bank's count as of the activation that
+                        // caused it, exactly as an event-by-event walk
+                        // would have counted it.
+                        for (bank_act, &row) in (base + 1..).zip(rows) {
+                            backend.apply(Command::Activate { bank: bank_id, row });
+                            if backend.flips().len() > triggers.flips_seen {
+                                triggers.bank_acts[bank] = bank_act;
+                                triggers.note_flips(backend.flips());
+                            }
+                        }
                     }
-                    backend.apply(Command::Activate { bank: bank_id, row });
-                    triggers.note_flips(backend.flips());
-                    let tag = u32::try_from(i).expect("event tag fits u32");
-                    while let Some(action) = sink.next_for(tag) {
-                        apply_action(action, backend, &ledger, &mut triggers, observer);
+                    triggers.bank_acts[bank] =
+                        base + u64::try_from(rows.len()).expect("run length fits u64");
+                }
+                total_acts += u64::try_from(stop - cur).expect("chunk length fits u64");
+                cur = stop;
+                // Drain the actions of the chunk's last event, if it had
+                // any (tags ascend, so equal tags drain together).
+                if let Some(tag) = sink.peek_tag() {
+                    if usize::try_from(tag).expect("event tag fits usize") < cur {
+                        while let Some(action) = sink.next_for(tag) {
+                            apply_action(action, backend, &ledger, &mut triggers, observer);
+                        }
                     }
                 }
             }
@@ -502,16 +486,8 @@ where
 {
     let mut events: Vec<TraceEvent> = Vec::new();
     let mut actions: Vec<MitigationAction> = Vec::new();
-    let mut ledger = AggressorLedger::default();
-    let mut triggers = TriggerLedger {
-        trigger_events: 0,
-        false_positive_events: 0,
-        bank_acts: Vec::new(),
-        bank_first: Vec::new(),
-        flips_seen: 0,
-        bank_first_flip: Vec::new(),
-        flip_log: Vec::new(),
-    };
+    let mut ledger = AggressorLedger::new(&config.geometry);
+    let mut triggers = TriggerLedger::new(config.geometry.banks());
     let mut total_acts = 0u64;
     let mut aggressor_acts = 0u64;
     let max_intervals = config.intervals();
@@ -522,16 +498,12 @@ where
             break;
         }
         for event in &events {
-            ledger.record(event);
-            let bank = event.bank.index();
-            if bank >= triggers.bank_acts.len() {
-                triggers.bank_acts.resize(bank + 1, 0);
-            }
-            triggers.bank_acts[bank] += 1;
-            total_acts += 1;
             if event.aggressor {
+                ledger.record(event.bank, event.row);
                 aggressor_acts += 1;
             }
+            triggers.bank_acts[event.bank.index()] += 1;
+            total_acts += 1;
             backend.apply(Command::Activate {
                 bank: event.bank,
                 row: event.row,

@@ -113,12 +113,6 @@ impl ActionSink {
         self.cursor = 0;
     }
 
-    /// Alias of [`ActionSink::reset`], kept for call sites that predate
-    /// the arena vocabulary.
-    pub fn clear(&mut self) {
-        self.reset();
-    }
-
     /// Number of buffered actions.
     pub fn len(&self) -> usize {
         self.actions.len()
@@ -453,7 +447,7 @@ mod tests {
         assert_eq!(sink.next_for(2), Some(act(21)));
         assert_eq!(sink.next_for(2), None);
         assert!(sink.fully_drained());
-        sink.clear();
+        sink.reset();
         assert!(sink.is_empty());
     }
 

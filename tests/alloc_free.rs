@@ -14,65 +14,71 @@
 //! reset path), one further window must not touch the heap, for all
 //! nine Table III techniques.
 //!
-//! The test drives the mitigation layer directly rather than through
-//! the engine so the assertion isolates the decision side — the arena,
-//! the kernels, the interval turnover — from backend bookkeeping
-//! (flip logs grow with device state, which is workload physics, not
-//! kernel overhead).
+//! The first test drives the mitigation layer directly, isolating the
+//! decision side — the arena, the kernels, the interval turnover.  The
+//! second drives the whole engine over a recorded trace on every
+//! backend tier, so replay, the aggressor ledger and device refresh are
+//! held to the same contract.  Its traffic stays far below the flip
+//! threshold: a flip log grows with device state, which is workload
+//! physics, not engine overhead.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-use dram_sim::{BankId, Geometry, RowAddr};
-use tivapromi_suite::harness::{techniques, ExperimentScale, RunConfig};
+use dram_sim::{BackendSpec, BankId, Geometry, RowAddr};
+use tivapromi_suite::harness::{
+    engine, techniques, ExperimentScale, IntervalSnapshot, Observer, RunConfig,
+};
 use tivapromi_suite::hwmodel::Technique;
 use tivapromi_suite::tivapromi::{ActionSink, Mitigation};
-use tivapromi_suite::trace::{EventBatch, TraceEvent};
+use tivapromi_suite::trace::{EventBatch, ReplayTrace, TraceEvent};
 
 /// Counts every allocation and reallocation made by the measuring
 /// thread; frees are not counted — the contract is "no heap traffic",
 /// and a free implies a matching earlier allocation anyway.
 ///
-/// Counting is gated on a thread-local flag armed only around the
-/// measured window: the libtest harness runs helper threads in the
-/// same process, and an unrelated allocation from one of them landing
-/// inside the window must not fail the kernel contract.  The flag is
-/// `const`-initialized so reading it never allocates, and `try_with`
-/// falls back to not counting during TLS teardown.
+/// Both the flag that arms counting and the count itself are
+/// thread-local: the libtest harness runs the tests of this file on
+/// concurrent threads, and an allocation from one of them landing
+/// inside another's window must not fail that window's contract.  Both
+/// are `const`-initialized so touching them never allocates, and
+/// `try_with` falls back to not counting during TLS teardown.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
-    static COUNTING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count_this_thread() {
-    if COUNTING.try_with(|flag| flag.get()).unwrap_or(false) {
-        // lint: allow(D4) — monotone count read by the same thread that
-        // bumps it; Relaxed suffices.
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
     }
+}
+
+/// Allocations this thread has made while counting was armed.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
 }
 
 // lint: allow(D4) — GlobalAlloc is an unsafe trait; the impl forwards
 // every call to System verbatim and only bumps a counter.
 unsafe impl GlobalAlloc for CountingAllocator {
-    // lint: allow(D4) — unsafe-trait method; Relaxed suffices for a monotone count.
+    // lint: allow(D4) — unsafe-trait method; bumps a thread-local count.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_this_thread();
         // lint: allow(D4) — verbatim System forwarding per the trait contract.
         unsafe { System.alloc(layout) }
     }
 
-    // lint: allow(D4) — unsafe-trait method; Relaxed suffices for a monotone count.
+    // lint: allow(D4) — unsafe-trait method; bumps a thread-local count.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count_this_thread();
         // lint: allow(D4) — verbatim System forwarding per the trait contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
-    // lint: allow(D4) — unsafe-trait method; Relaxed suffices for a monotone count.
+    // lint: allow(D4) — unsafe-trait method; bumps a thread-local count.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_this_thread();
         // lint: allow(D4) — verbatim System forwarding per the trait contract.
@@ -101,21 +107,20 @@ fn config() -> RunConfig {
 }
 
 /// One interval's traffic: heavy hammering of a few rows per bank (so
-/// counter tables, histories and trigger paths are exercised) plus a
-/// benign spread, identical every interval so the warm-up's high-water
-/// marks cover the measured window.
+/// counter tables, histories, trigger paths and the engine's aggressor
+/// ledger are exercised) plus a benign spread, identical every interval
+/// so the warm-up's high-water marks cover the measured window.
 fn interval_events() -> Vec<TraceEvent> {
     let mut events = Vec::new();
     for i in 0..160u32 {
         let bank = BankId(i % BANKS);
-        let row = if i % 2 == 0 {
+        events.push(if i % 2 == 0 {
             // Hammered set: three aggressors per bank.
-            RowAddr(500 + i % 3)
+            TraceEvent::attack(bank, RowAddr(500 + i % 3))
         } else {
             // Benign spread across the bank.
-            RowAddr((i * 37) % 1024)
-        };
-        events.push(TraceEvent::benign(bank, row));
+            TraceEvent::benign(bank, RowAddr((i * 37) % 1024))
+        });
     }
     events
 }
@@ -164,13 +169,11 @@ fn steady_state_batches_never_allocate() {
         // and only for the window, so concurrent harness threads
         // cannot pollute the reading.
         COUNTING.with(|flag| flag.set(true));
-        // lint: allow(D4) — single-threaded test; Relaxed reads of a monotone counter.
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = allocations();
         for _ in 0..intervals_per_window {
             drive_interval(&mut mitigation, &mut sink, &mut triggers);
         }
-        // lint: allow(D4) — single-threaded test; Relaxed reads of a monotone counter.
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        let after = allocations();
         COUNTING.with(|flag| flag.set(false));
         assert_eq!(
             after - before,
@@ -183,4 +186,69 @@ fn steady_state_batches_never_allocate() {
     // The contract must be proven on exercised trigger paths, not on
     // techniques idling through empty decision loops.
     assert!(total_triggers > 0, "no trigger path was exercised");
+}
+
+/// Arms the allocation counter from inside the engine loop: on at the
+/// end of interval `from - 1`, off at the end of interval `to - 1`, so
+/// the measured span is intervals `from..to` — trace delivery, decision,
+/// replay, refresh and interval turnover — and nothing before or after.
+struct WindowProbe {
+    from: u64,
+    to: u64,
+    allocations: Option<u64>,
+    before: u64,
+}
+
+impl Observer for WindowProbe {
+    fn on_interval_end(&mut self, snapshot: &IntervalSnapshot<'_>) {
+        let next = snapshot.interval + 1;
+        if next == self.from {
+            self.before = allocations();
+            COUNTING.with(|flag| flag.set(true));
+        } else if next == self.to {
+            COUNTING.with(|flag| flag.set(false));
+            self.allocations = Some(allocations() - self.before);
+        }
+    }
+}
+
+/// Zero heap allocations per steady-state engine window, for all nine
+/// techniques on every backend tier: two warm-up windows, then one
+/// measured window of the engine replaying a recorded trace.
+#[test]
+fn steady_state_engine_windows_never_allocate() {
+    let base = config();
+    let intervals_per_window = u64::from(base.geometry.intervals_per_window());
+    let recorded = vec![interval_events(); usize::try_from(base.intervals()).expect("fits")];
+    for backend in BackendSpec::ALL {
+        let config = base.clone().with_backend(backend);
+        let mut triggers = 0;
+        for technique in Technique::TABLE3 {
+            let mut mitigation = techniques::build_any(technique, &config, 17);
+            let mut probe = WindowProbe {
+                from: 2 * intervals_per_window,
+                to: 3 * intervals_per_window,
+                allocations: None,
+                before: 0,
+            };
+            let metrics = engine::run_observed(
+                ReplayTrace::new(recorded.clone()),
+                &mut mitigation,
+                &config,
+                &mut probe,
+            );
+            assert_eq!(metrics.intervals, 3 * intervals_per_window);
+            assert_eq!(
+                metrics.flips, 0,
+                "{technique:?} on {backend}: traffic must not flip"
+            );
+            assert_eq!(
+                probe.allocations,
+                Some(0),
+                "{technique:?} on {backend}: allocations in a steady-state engine window"
+            );
+            triggers += metrics.trigger_events;
+        }
+        assert!(triggers > 0, "{backend}: no trigger path was exercised");
+    }
 }

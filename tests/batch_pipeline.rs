@@ -12,8 +12,10 @@
 //! including adversarially interleaved traffic whose bank column
 //! alternates every event, so every [`mem_trace::EventBatch::bank_runs`]
 //! run degenerates to a single event (the lane kernels' worst case).
+//! One case lowers the flip threshold until the mix flips bits, so flip
+//! attribution through the chunked replay is pinned too.
 
-use dram_sim::{BankId, Geometry, RowAddr};
+use dram_sim::{BackendSpec, BankId, Geometry, RowAddr};
 use proptest::prelude::*;
 use tivapromi_suite::harness::{engine, techniques, ExperimentScale, NullObserver, RunConfig};
 use tivapromi_suite::hwmodel::Technique;
@@ -62,27 +64,48 @@ fn mix(config: &RunConfig, seed: u64) -> MixedTrace {
 }
 
 /// Batched == scalar for all nine techniques on the paper mix, at every
-/// batch size.
+/// batch size: at the paper's threshold, where nothing flips, and at a
+/// flip threshold of 64 on the tiers that poll flips per activation,
+/// where the mix flips bits — so each flip record's bank-local
+/// activation count and `time_to_first_flip` are pinned through the
+/// chunked replay too.  With four banks interleaved, a chunk spans
+/// several bank runs.
 #[test]
 fn batched_run_matches_scalar_reference_for_all_techniques() {
-    for technique in Technique::TABLE3 {
-        let base = config();
-        let mut scalar_mitigation = techniques::build_any(technique, &base, 11);
-        let scalar = engine::run_scalar(mix(&base, 11), &mut scalar_mitigation, &base);
-        assert!(scalar.workload_activations > 0);
-        for batch_events in BATCH_SIZES {
-            let batched_config = base.clone().with_batch_events(batch_events);
-            let mut mitigation = techniques::build_any(technique, &batched_config, 11);
-            let batched = engine::run_observed(
-                mix(&batched_config, 11),
-                &mut mitigation,
-                &batched_config,
-                &mut NullObserver,
-            );
+    let mut flipping = config();
+    flipping.flip_threshold = 64;
+    let configs = [
+        config(),
+        flipping.clone(),
+        flipping.with_backend(BackendSpec::Cycle),
+    ];
+    for base in configs {
+        let backend = base.backend;
+        for technique in Technique::TABLE3 {
+            let mut scalar_mitigation = techniques::build_any(technique, &base, 11);
+            let scalar = engine::run_scalar(mix(&base, 11), &mut scalar_mitigation, &base);
+            assert!(scalar.workload_activations > 0);
             assert_eq!(
-                scalar, batched,
-                "{technique:?} diverged at batch_events={batch_events}"
+                scalar.flips > 0,
+                base.flip_threshold == 64,
+                "{technique:?} on {backend}: {} flips at threshold {}",
+                scalar.flips,
+                base.flip_threshold
             );
+            for batch_events in BATCH_SIZES {
+                let batched_config = base.clone().with_batch_events(batch_events);
+                let mut mitigation = techniques::build_any(technique, &batched_config, 11);
+                let batched = engine::run_observed(
+                    mix(&batched_config, 11),
+                    &mut mitigation,
+                    &batched_config,
+                    &mut NullObserver,
+                );
+                assert_eq!(
+                    scalar, batched,
+                    "{technique:?} on {backend} diverged at batch_events={batch_events}"
+                );
+            }
         }
     }
 }
