@@ -216,9 +216,10 @@ impl Mitigation for CounterTree {
         self.peak_nodes = self.peak_nodes.max(tree.nodes.len());
     }
 
-    // Hot path: segment event indices are bounded by the batch length,
-    // far below u32::MAX.
-    #[allow(clippy::cast_possible_truncation)]
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "event tags: segment indices are bounded by the batch length, far below u32::MAX"
+    )]
     fn on_batch(&mut self, batch: &EventBatch, range: Range<usize>, sink: &mut ActionSink) {
         // Lane kernel: the bank's tree is hoisted once per run and the
         // node watermark is settled at run end — node count only grows
@@ -230,7 +231,6 @@ impl Mitigation for CounterTree {
             for i in run {
                 let row = rows[i];
                 if tree.insert(row.0, &self.config) {
-                    // lint: allow(D5) — event tag: segment indices are bounded by the batch length.
                     sink.push(i as u32, MitigationAction::ActivateNeighbors { bank, row });
                 }
             }

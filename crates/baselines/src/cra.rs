@@ -134,9 +134,10 @@ impl Mitigation for Cra {
         }
     }
 
-    // Hot path: segment event indices are bounded by the batch length,
-    // far below u32::MAX.
-    #[allow(clippy::cast_possible_truncation)]
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "event tags: segment indices are bounded by the batch length, far below u32::MAX"
+    )]
     fn on_batch(&mut self, batch: &EventBatch, range: Range<usize>, sink: &mut ActionSink) {
         // Lane kernel: per bank run the counter array is hoisted once
         // and the update is a branchless increment-compare-select — the
@@ -151,7 +152,6 @@ impl Mitigation for Cra {
                 let fire = value >= threshold;
                 counters[row.index()] = if fire { 0 } else { value };
                 if fire {
-                    // lint: allow(D5) — event tag: segment indices are bounded by the batch length.
                     sink.push(i as u32, MitigationAction::ActivateNeighbors { bank, row });
                 }
             }

@@ -186,9 +186,10 @@ impl Mitigation for Graphene {
         }
     }
 
-    // Hot path: segment event indices are bounded by the batch length,
-    // far below u32::MAX.
-    #[allow(clippy::cast_possible_truncation)]
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "event tags: segment indices are bounded by the batch length, far below u32::MAX"
+    )]
     fn on_batch(&mut self, batch: &EventBatch, range: Range<usize>, sink: &mut ActionSink) {
         // Lane kernel: the bank's Misra–Gries summary is hoisted once
         // per run and the threshold/capacity scalars stay in registers.
@@ -200,7 +201,6 @@ impl Mitigation for Graphene {
             for i in run {
                 let row = rows[i];
                 if summary.observe(row, threshold, capacity) {
-                    // lint: allow(D5) — event tag: segment indices are bounded by the batch length.
                     sink.push(i as u32, MitigationAction::ActivateNeighbors { bank, row });
                 }
             }

@@ -280,9 +280,10 @@ impl Mitigation for MrLoc {
         }
     }
 
-    // Hot path: segment event indices are bounded by the batch length,
-    // far below u32::MAX.
-    #[allow(clippy::cast_possible_truncation)]
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "event tags: segment indices are bounded by the batch length, far below u32::MAX"
+    )]
     fn on_batch(&mut self, batch: &EventBatch, range: Range<usize>, sink: &mut ActionSink) {
         // Lane kernel: the trigger probability depends on the queue
         // state at each candidate, so the draws cannot be prefetched —
@@ -302,14 +303,12 @@ impl Mitigation for MrLoc {
                 if row.0 > 0 {
                     let victim = RowAddr(row.0 - 1);
                     if victim_fires_merged(queue, &mut *filter, &mut *rng, &self.config, victim) {
-                        // lint: allow(D5) — event tag: segment indices fit u32.
                         sink.push(i as u32, MitigationAction::RefreshRow { bank, row: victim });
                     }
                 }
                 if row.0 + 1 < rows_per_bank {
                     let victim = RowAddr(row.0 + 1);
                     if victim_fires_merged(queue, &mut *filter, &mut *rng, &self.config, victim) {
-                        // lint: allow(D5) — event tag: segment indices fit u32.
                         sink.push(i as u32, MitigationAction::RefreshRow { bank, row: victim });
                     }
                 }

@@ -97,9 +97,10 @@ impl Mitigation for Para {
         }
     }
 
-    // Hot path: segment event indices are bounded by the batch length,
-    // far below u32::MAX.
-    #[allow(clippy::cast_possible_truncation)]
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "event tags: segment indices are bounded by the batch length, far below u32::MAX"
+    )]
     fn on_batch(&mut self, batch: &EventBatch, range: Range<usize>, sink: &mut ActionSink) {
         // Lane kernel: per bank run, one stream refill covers the whole
         // run (one word per event), the gate is a single integer compare
@@ -115,7 +116,6 @@ impl Mitigation for Para {
             for (&word, i) in words.iter().zip(run) {
                 if draw::gate_at(word, threshold) {
                     let victim = neighbor_victim(rows[i], word, rows_per_bank);
-                    // lint: allow(D5) — event tag: segment indices are bounded by the batch length.
                     sink.push(i as u32, MitigationAction::RefreshRow { bank, row: victim });
                 }
             }

@@ -182,9 +182,10 @@ impl Mitigation for TwiCe {
         self.peak_entries = self.peak_entries.max(table.len());
     }
 
-    // Hot path: segment event indices are bounded by the batch length,
-    // far below u32::MAX.
-    #[allow(clippy::cast_possible_truncation)]
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "event tags: segment indices are bounded by the batch length, far below u32::MAX"
+    )]
     fn on_batch(&mut self, batch: &EventBatch, range: Range<usize>, sink: &mut ActionSink) {
         // Lane kernel: the bank's CAM is hoisted once per run and the
         // peak-occupancy watermark is settled at run end — within a run
@@ -196,7 +197,6 @@ impl Mitigation for TwiCe {
             for i in run {
                 let row = rows[i];
                 if observe(table, row, &self.config) {
-                    // lint: allow(D5) — event tag: segment indices are bounded by the batch length.
                     sink.push(i as u32, MitigationAction::ActivateNeighbors { bank, row });
                 }
             }

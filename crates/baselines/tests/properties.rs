@@ -127,7 +127,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let mut prohit = ProHit::paper(&geometry(), seed);
-        let mut candidates = std::collections::HashSet::new();
+        let mut candidates = std::collections::BTreeSet::new();
         let mut actions = Vec::new();
         for chunk in rows.chunks(10) {
             for &row in chunk {

@@ -2,6 +2,10 @@
 //! fleet-scale weak-cell screening campaign, plus the cycle tier's
 //! bandwidth-overhead regeneration.  Writes `BENCH_backend.json` at the
 //! workspace root.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a benchmark measures wall time; its readings never reach simulation results"
+)]
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dram_sim::{BackendSpec, BankId, RowAddr};

@@ -22,6 +22,10 @@
 //! or disturbance backend in the loop, so the ratio is the decision
 //! layer's own.  `--quick` (or `--test`, or `RH_BENCH_QUICK`) shrinks
 //! the run for CI.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a benchmark measures wall time; its readings never reach simulation results"
+)]
 
 use dram_sim::{BankId, RowAddr};
 use mem_trace::{EventBatch, TraceEvent};

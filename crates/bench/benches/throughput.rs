@@ -3,6 +3,10 @@
 //! scaling (a full 8-bank run, sequential vs. sharded at 1/2/4 workers)
 //! and the batched-vs-scalar pipeline comparison, which writes
 //! `BENCH_batch.json` at the workspace root.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a benchmark measures wall time; its readings never reach simulation results"
+)]
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dram_sim::{BankId, RowAddr};

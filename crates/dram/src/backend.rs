@@ -250,6 +250,9 @@ impl CycleStats {
     /// the run's `intervals` metric).  Associative and commutative, so
     /// shard merges are order-independent.
     #[must_use]
+    // Rule D8: a float fold here would make the merged bits depend on
+    // merge order.
+    #[deny(clippy::float_arithmetic)]
     pub fn merge(self, other: CycleStats) -> CycleStats {
         CycleStats {
             workload_cycles: self.workload_cycles + other.workload_cycles,

@@ -47,9 +47,10 @@ pub struct ControllerConfig {
 impl ControllerConfig {
     /// Derives cycle counts from a timing set (DDR4: tRC 54, tRFC 420,
     /// tREFI 9360 cycles at 1.2 GHz).
-    // Cycle counts derived from ns-scale timings are small positive
-    // integers; the rounded float always fits u64.
-    #[allow(clippy::cast_possible_truncation)]
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "cycle counts derived from ns-scale timings are small positive integers; the rounded float always fits u64"
+    )]
     pub fn from_timing(timing: &DramTiming) -> Self {
         let cycles_per_ns = timing.frequency_ghz;
         ControllerConfig {

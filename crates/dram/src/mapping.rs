@@ -7,7 +7,7 @@
 //! be exercised with and without remapping.
 
 use crate::{Geometry, RowAddr};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt::Debug;
 
 /// Resolves the *physical* neighbors of a row.
@@ -130,7 +130,7 @@ impl RowMapping for IdentityMapping {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RemappedMapping {
-    remap: HashMap<RowAddr, RowAddr>,
+    remap: BTreeMap<RowAddr, RowAddr>,
 }
 
 impl RemappedMapping {

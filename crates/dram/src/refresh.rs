@@ -110,9 +110,10 @@ impl RefreshSchedule {
                 );
                 let mut scrambled = vec![RowAddr(0); rows as usize];
                 for i in 0..intervals {
-                    // Truncation to u32 IS the scramble: the low word of
-                    // the Knuth product is the hashed counter.
-                    #[allow(clippy::cast_possible_truncation)]
+                    #[allow(
+                        clippy::cast_possible_truncation,
+                        reason = "truncation to u32 IS the scramble: the low word of the Knuth product is the hashed counter"
+                    )]
                     let g = ((u64::from(i) * ODD_MULTIPLIER) as u32 ^ mask) % intervals;
                     for k in 0..rpi {
                         scrambled[(i * rpi + k) as usize] = RowAddr(g * rpi + k);

@@ -43,14 +43,14 @@ mod tests {
 
     #[test]
     fn banks_get_distinct_streams() {
-        let seeds: std::collections::HashSet<u64> =
+        let seeds: std::collections::BTreeSet<u64> =
             (0..64).map(|b| bank_seed(7, BankId(b))).collect();
         assert_eq!(seeds.len(), 64);
     }
 
     #[test]
     fn run_seeds_get_distinct_streams() {
-        let seeds: std::collections::HashSet<u64> =
+        let seeds: std::collections::BTreeSet<u64> =
             (0..64).map(|s| bank_seed(s, BankId(3))).collect();
         assert_eq!(seeds.len(), 64);
     }

@@ -116,8 +116,10 @@ impl DramTiming {
 
     /// Number of refresh intervals per window implied by the timing
     /// (≈ 8192 for 64 ms / 7.8 µs).
-    // Physical timing ratios are a few thousand at most, far inside u32.
-    #[allow(clippy::cast_possible_truncation)]
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "physical timing ratios are a few thousand at most, far inside u32"
+    )]
     pub fn intervals_per_window(&self) -> u32 {
         ((self.refresh_window_ms * 1000.0) / self.refresh_interval_us).round() as u32
     }
@@ -127,8 +129,10 @@ impl DramTiming {
     /// minus the time consumed by the refresh itself — the
     /// "165 activations" DDR4 bound quoted from TWiCe and used for the
     /// CaPRoMi counter-table sizing argument.
-    // A few hundred activations per interval for any real timing set.
-    #[allow(clippy::cast_possible_truncation)]
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "a few hundred activations per interval for any real timing set"
+    )]
     pub fn max_activations_per_interval(&self) -> u32 {
         ((self.refresh_interval_us * 1000.0 - self.refresh_time_ns) / self.act_to_act_ns).floor()
             as u32
@@ -136,8 +140,10 @@ impl DramTiming {
 
     /// Cycle budget available to a mitigation FSM running at this
     /// timing's clock.
-    // Cycle counts per DRAM command are double digits for any real clock.
-    #[allow(clippy::cast_possible_truncation)]
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "cycle counts per DRAM command are double digits for any real clock"
+    )]
     pub fn cycle_budget(&self) -> CycleBudget {
         CycleBudget {
             act_cycles: (self.act_to_act_ns * self.frequency_ghz).floor() as u32,

@@ -377,11 +377,11 @@ mod tests {
                 ]),
         );
         let devices: Vec<DeviceSpec> = (0..32).map(|i| spec.device(i).expect("in range")).collect();
-        let distinct_banks: std::collections::HashSet<u32> =
+        let distinct_banks: std::collections::BTreeSet<u32> =
             devices.iter().map(|d| d.banks).collect();
-        let distinct_thresholds: std::collections::HashSet<u32> =
+        let distinct_thresholds: std::collections::BTreeSet<u32> =
             devices.iter().map(|d| d.flip_threshold).collect();
-        let distinct_techniques: std::collections::HashSet<String> =
+        let distinct_techniques: std::collections::BTreeSet<String> =
             devices.iter().map(|d| d.technique.to_string()).collect();
         assert!(distinct_banks.len() > 1, "bank sampling degenerate");
         assert!(

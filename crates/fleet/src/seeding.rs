@@ -56,13 +56,13 @@ mod tests {
 
     #[test]
     fn devices_get_distinct_streams() {
-        let seeds: std::collections::HashSet<u64> = (0..1024).map(|d| device_seed(7, d)).collect();
+        let seeds: std::collections::BTreeSet<u64> = (0..1024).map(|d| device_seed(7, d)).collect();
         assert_eq!(seeds.len(), 1024);
     }
 
     #[test]
     fn campaign_seeds_get_distinct_streams() {
-        let seeds: std::collections::HashSet<u64> = (0..64).map(|s| device_seed(s, 3)).collect();
+        let seeds: std::collections::BTreeSet<u64> = (0..64).map(|s| device_seed(s, 3)).collect();
         assert_eq!(seeds.len(), 64);
     }
 

@@ -98,9 +98,10 @@ impl QuantileSketch {
     /// [`QuantileSketch::bucket_value`] arithmetic the quantile side
     /// uses.
     fn bucket_key(&self, x: f64) -> i64 {
-        // The rounded log is only a seed guess; the adjustment loops
-        // below re-anchor it, so truncation cannot move the bucket.
-        #[allow(clippy::cast_possible_truncation)]
+        #[allow(
+            clippy::cast_possible_truncation,
+            reason = "the rounded log is only a seed guess; the adjustment loops below re-anchor it, so truncation cannot move the bucket"
+        )]
         let mut key = (x.ln() / self.gamma.ln()).ceil() as i64;
         // `ln`/`ceil` land within one bucket of the invariant; the
         // adjustment loops pin it exactly in `bucket_value` arithmetic,
@@ -145,6 +146,9 @@ impl QuantileSketch {
     ///
     /// Panics when the sketches were built with different accuracies
     /// (their buckets would not align).
+    // Rule D8: a float fold here would make the merged bits depend on
+    // merge order.
+    #[deny(clippy::float_arithmetic)]
     pub fn merge(&mut self, other: &QuantileSketch) {
         assert!(
             self.gamma == other.gamma,
@@ -181,9 +185,11 @@ impl QuantileSketch {
     /// The 1-based target rank of quantile `q` over `n` samples:
     /// `max(1, ⌈q·n⌉)`, clamped to `n`.
     fn rank(&self, q: f64) -> u64 {
-        // `q ≤ 1`, so `q·n ≤ n` fits u64 exactly; the clamp also pins
-        // any rounding at the ends.
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        #[allow(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "`q ≤ 1`, so `q·n ≤ n` fits u64 exactly; the clamp also pins any rounding at the ends"
+        )]
         let r = (q * self.total as f64).ceil() as u64;
         r.clamp(1, self.total)
     }

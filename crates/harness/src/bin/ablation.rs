@@ -7,10 +7,7 @@ use rh_harness::experiments::ablation;
 use rh_harness::ExperimentScale;
 
 fn main() {
-    let scale = std::env::args()
-        .nth(1)
-        .and_then(|s| ExperimentScale::from_name(&s))
-        .unwrap_or_else(ExperimentScale::paper_shape);
+    let scale = ExperimentScale::from_arg_or_exit(std::env::args().nth(1).as_deref());
     let mut results = ablation::history_sweep(&scale);
     results.extend(ablation::p_base_sweep(&scale));
     results.extend(ablation::lock_threshold_sweep(&scale));

@@ -6,10 +6,7 @@ use rh_harness::experiments::aggressor_sweep;
 use rh_harness::ExperimentScale;
 
 fn main() {
-    let scale = std::env::args()
-        .nth(1)
-        .and_then(|s| ExperimentScale::from_name(&s))
-        .unwrap_or_else(ExperimentScale::paper_shape);
+    let scale = ExperimentScale::from_arg_or_exit(std::env::args().nth(1).as_deref());
     println!("Aggressor-count sweep — fixed k aggressors per bank, mixed workload");
     println!();
     print!("{}", aggressor_sweep::render(&aggressor_sweep::run(&scale)));

@@ -7,10 +7,7 @@ use rh_harness::experiments::blast_radius;
 use rh_harness::ExperimentScale;
 
 fn main() {
-    let scale = std::env::args()
-        .nth(1)
-        .and_then(|s| ExperimentScale::from_name(&s))
-        .unwrap_or_else(ExperimentScale::paper_shape);
+    let scale = ExperimentScale::from_arg_or_exit(std::env::args().nth(1).as_deref());
     println!("Blast-radius study — distance-2 coupling under worst-phase flooding");
     println!("(`+d2` = act_n widened to ±2 via the WideNeighborhood adapter)");
     println!();

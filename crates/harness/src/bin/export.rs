@@ -10,10 +10,7 @@ use std::fs::File;
 use std::path::PathBuf;
 
 fn main() -> std::io::Result<()> {
-    let scale = std::env::args()
-        .nth(1)
-        .and_then(|s| ExperimentScale::from_name(&s))
-        .unwrap_or_else(ExperimentScale::paper_shape);
+    let scale = ExperimentScale::from_arg_or_exit(std::env::args().nth(1).as_deref());
     let dir = PathBuf::from(std::env::args().nth(2).unwrap_or_else(|| "results".into()));
     std::fs::create_dir_all(&dir)?;
 

@@ -7,10 +7,7 @@ use rh_harness::experiments::extensions;
 use rh_harness::ExperimentScale;
 
 fn main() {
-    let scale = std::env::args()
-        .nth(1)
-        .and_then(|s| ExperimentScale::from_name(&s))
-        .unwrap_or_else(ExperimentScale::paper_shape);
+    let scale = ExperimentScale::from_arg_or_exit(std::env::args().nth(1).as_deref());
     let points = extensions::extension_points(&scale);
     let validation = extensions::cache_validation(&scale);
     print!("{}", extensions::render(&points, &validation));

@@ -8,10 +8,7 @@ use rh_harness::experiments::fig4;
 use rh_harness::ExperimentScale;
 
 fn main() {
-    let scale = std::env::args()
-        .nth(1)
-        .and_then(|s| ExperimentScale::from_name(&s))
-        .unwrap_or_else(ExperimentScale::paper_shape);
+    let scale = ExperimentScale::from_arg_or_exit(std::env::args().nth(1).as_deref());
     eprintln!(
         "running fig4 at {} windows × {} banks × {} seeds…",
         scale.windows, scale.banks, scale.seeds

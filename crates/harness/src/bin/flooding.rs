@@ -7,10 +7,7 @@ use rh_harness::experiments::flooding;
 use rh_harness::ExperimentScale;
 
 fn main() {
-    let scale = std::env::args()
-        .nth(1)
-        .and_then(|s| ExperimentScale::from_name(&s))
-        .unwrap_or_else(ExperimentScale::paper_shape);
+    let scale = ExperimentScale::from_arg_or_exit(std::env::args().nth(1).as_deref());
     let results = flooding::run(&scale);
     println!("Flooding attack — worst-phase flood (attack starts right after the");
     println!("flooded row's refresh, where time-varying weights are smallest)");

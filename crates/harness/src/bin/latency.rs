@@ -9,10 +9,7 @@ use rh_harness::{ExperimentScale, PerfCounters, RunConfig, Runner};
 use rh_hwmodel::Technique;
 
 fn main() {
-    let scale = std::env::args()
-        .nth(1)
-        .and_then(|s| ExperimentScale::from_name(&s))
-        .unwrap_or_else(ExperimentScale::paper_shape);
+    let scale = ExperimentScale::from_arg_or_exit(std::env::args().nth(1).as_deref());
     println!("Demand latency — mixed trace through the cycle-level controller");
     println!("(background priority unless marked @urgent)");
     println!();

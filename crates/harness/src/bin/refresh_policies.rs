@@ -7,10 +7,7 @@ use rh_harness::experiments::refresh_policies;
 use rh_harness::ExperimentScale;
 
 fn main() {
-    let scale = std::env::args()
-        .nth(1)
-        .and_then(|s| ExperimentScale::from_name(&s))
-        .unwrap_or_else(ExperimentScale::paper_shape);
+    let scale = ExperimentScale::from_arg_or_exit(std::env::args().nth(1).as_deref());
     let results = refresh_policies::run(&scale);
     println!("Refresh-policy robustness — TiVaPRoMi variants × 4 policies");
     println!();

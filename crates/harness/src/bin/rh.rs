@@ -16,6 +16,8 @@ use rh_harness::experiments::{
 };
 use rh_harness::ExperimentScale;
 
+const USAGE: &str = "usage: rh <experiment|all|list> [quick|paper|full]";
+
 const EXPERIMENTS: &[(&str, &str)] = &[
     ("table1", "Table I — simulated system specification"),
     ("table2", "Table II — FSM clock cycles (exact)"),
@@ -96,14 +98,14 @@ fn run_one(name: &str, scale: &ExperimentScale) -> bool {
 fn main() {
     let mut args = std::env::args().skip(1);
     let command = args.next().unwrap_or_else(|| "list".into());
-    let scale = args
-        .next()
-        .and_then(|s| ExperimentScale::from_name(&s))
-        .unwrap_or_else(ExperimentScale::paper_shape);
+    let scale = ExperimentScale::from_arg(args.next().as_deref()).unwrap_or_else(|err| {
+        eprintln!("error: {err}\n{USAGE}");
+        std::process::exit(2)
+    });
 
     match command.as_str() {
         "list" | "--help" | "-h" => {
-            println!("usage: rh <experiment|all|list> [quick|paper|full]\n");
+            println!("{USAGE}\n");
             for (name, description) in EXPERIMENTS {
                 println!("  {name:16} {description}");
             }

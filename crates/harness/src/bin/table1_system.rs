@@ -7,10 +7,10 @@ use rh_harness::experiments::table1;
 use rh_harness::ExperimentScale;
 
 fn main() {
-    let scale = std::env::args()
-        .nth(1)
-        .and_then(|s| ExperimentScale::from_name(&s))
-        .unwrap_or_else(ExperimentScale::full);
+    let scale = match std::env::args().nth(1) {
+        None => ExperimentScale::full(),
+        arg => ExperimentScale::from_arg_or_exit(arg.as_deref()),
+    };
     println!("Table I — simulated system specifications");
     println!();
     print!("{}", table1::render(&scale));

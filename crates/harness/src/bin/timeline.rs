@@ -76,10 +76,7 @@ fn main() -> ExitCode {
             args.push(arg);
         }
     }
-    let scale = args
-        .first()
-        .and_then(|s| ExperimentScale::from_name(s))
-        .unwrap_or_else(ExperimentScale::paper_shape);
+    let scale = ExperimentScale::from_arg_or_exit(args.first().map(String::as_str));
     let technique = match args.get(1) {
         Some(name) => match parse_technique(name) {
             Some(t) => t,

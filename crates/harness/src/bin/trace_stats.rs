@@ -8,10 +8,7 @@ use mem_trace::TraceStats;
 use rh_harness::{scenario, ExperimentScale, RunConfig, TextTable};
 
 fn main() {
-    let scale = std::env::args()
-        .nth(1)
-        .and_then(|s| ExperimentScale::from_name(&s))
-        .unwrap_or_else(ExperimentScale::paper_shape);
+    let scale = ExperimentScale::from_arg_or_exit(std::env::args().nth(1).as_deref());
     let config = RunConfig::paper(&scale);
     let stats = TraceStats::collect(scenario::paper_mix(&config, 1));
 

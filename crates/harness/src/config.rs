@@ -61,7 +61,45 @@ impl ExperimentScale {
             _ => None,
         }
     }
+
+    /// Parses an experiment binary's optional scale argument: no
+    /// argument is the paper scale; an unknown name is an error, never
+    /// a silent fallback to a multi-minute default.
+    pub fn from_arg(arg: Option<&str>) -> Result<Self, UnknownScale> {
+        match arg {
+            None => Ok(ExperimentScale::paper_shape()),
+            Some(name) => {
+                ExperimentScale::from_name(name).ok_or_else(|| UnknownScale(name.to_string()))
+            }
+        }
+    }
+
+    /// [`ExperimentScale::from_arg`] for a binary's `main`: an unknown
+    /// name prints a usage line and exits with status 2.
+    pub fn from_arg_or_exit(arg: Option<&str>) -> Self {
+        ExperimentScale::from_arg(arg).unwrap_or_else(|err| {
+            let program = std::env::args().next().unwrap_or_default();
+            eprintln!("error: {err}\nusage: {program} [quick|paper|full]");
+            std::process::exit(2)
+        })
+    }
 }
+
+/// A scale argument other than `quick`, `paper` or `full`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownScale(pub String);
+
+impl std::fmt::Display for UnknownScale {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "unknown scale `{}` (expected quick, paper or full)",
+            self.0
+        )
+    }
+}
+
+impl std::error::Error for UnknownScale {}
 
 impl Default for ExperimentScale {
     fn default() -> Self {
@@ -346,6 +384,21 @@ mod tests {
             Some(ExperimentScale::full())
         );
         assert_eq!(ExperimentScale::from_name("bogus"), None);
+    }
+
+    #[test]
+    fn missing_scale_arg_is_paper_and_unknown_is_an_error() {
+        assert_eq!(
+            ExperimentScale::from_arg(None),
+            Ok(ExperimentScale::paper_shape())
+        );
+        assert_eq!(
+            ExperimentScale::from_arg(Some("quick")),
+            Ok(ExperimentScale::quick())
+        );
+        let err = ExperimentScale::from_arg(Some("quik")).expect_err("a typo must not run");
+        assert_eq!(err, UnknownScale("quik".into()));
+        assert!(err.to_string().contains("quik"), "{err}");
     }
 
     #[test]

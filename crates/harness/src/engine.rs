@@ -50,7 +50,7 @@
 //! The *device* side is equally generic: the loop drives any
 //! [`DisturbanceBackend`] (see [`dram_sim::backend`]), and the
 //! entrypoints pick the tier `config.backend` names exactly once before
-//! entering it — exact (the event-accurate [`DramDevice`], the
+//! entering it — exact (the event-accurate [`dram_sim::DramDevice`], the
 //! default), fast (interval-level accumulation), or cycle (row-buffer
 //! and command-timing accounting in [`RunMetrics::cycle`]).  Because
 //! mitigations never read the device, the mitigation decision stream —
@@ -63,8 +63,7 @@ use crate::config::RunConfig;
 use crate::metrics::{sort_flip_log, FlipRecord, RunMetrics};
 use crate::observe::{IntervalSnapshot, NullObserver, Observe, Observer, RunSummary, ShardInfo};
 use dram_sim::{
-    BackendSpec, BankId, Command, CycleBackend, DisturbanceBackend, DramDevice, FlipEvent,
-    Geometry, RowAddr,
+    BackendSpec, BankId, Command, CycleBackend, DisturbanceBackend, FlipEvent, Geometry, RowAddr,
 };
 use mem_trace::{EventBatch, TraceEvent, TraceSource, TraceSplit};
 use std::time::Instant;
@@ -253,35 +252,6 @@ pub fn run_observed<S: TraceSource, M: Mitigation + ?Sized, O: Observer + ?Sized
     }
 }
 
-/// Like [`run_observed`] without an observer, but on a caller-provided
-/// device (lets callers inspect device state afterwards).  Always runs
-/// the event-accurate model, regardless of `config.backend`.
-pub fn run_on_device<S: TraceSource, M: Mitigation + ?Sized>(
-    trace: &mut S,
-    mitigation: &mut M,
-    config: &RunConfig,
-    device: &mut DramDevice,
-) -> RunMetrics {
-    run_on_backend_observed(trace, mitigation, config, device, &mut NullObserver)
-}
-
-/// The batched engine loop on a caller-provided device — the exact-tier
-/// special case of [`run_on_backend_observed`].
-pub fn run_on_device_observed<S, M, O>(
-    trace: &mut S,
-    mitigation: &mut M,
-    config: &RunConfig,
-    device: &mut DramDevice,
-    observer: &mut O,
-) -> RunMetrics
-where
-    S: TraceSource,
-    M: Mitigation + ?Sized,
-    O: Observer + ?Sized,
-{
-    run_on_backend_observed(trace, mitigation, config, device, observer)
-}
-
 /// The full engine loop — batched, generic over the disturbance
 /// backend: caller-provided backend and observer.
 ///
@@ -311,8 +281,8 @@ where
     // same tag/action lanes with `reset`, so the loop's decision side
     // stays heap-quiet (`tests/alloc_free.rs`).
     let mut sink = ActionSink::with_capacity(1024);
-    // lint: allow(D6) — per-run buffer made once before the interval
-    // loop; every segment drains it in place.
+    // Per-run buffer made once before the interval loop; every segment
+    // drains it in place.
     let mut actions: Vec<MitigationAction> = Vec::new();
     let mut ledger = AggressorLedger::new(&config.geometry);
     let mut triggers = TriggerLedger::new(config.geometry.banks());
@@ -642,14 +612,19 @@ where
     M: Mitigation,
     F: Fn() -> M + Sync,
 {
-    // lint: allow(D2) — wall times here feed only Observe callbacks
-    // (PerfCounters-style diagnostics), never RunMetrics.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall times here feed only Observe callbacks (PerfCounters-style diagnostics), never RunMetrics"
+    )]
     let start = Instant::now();
     let banks = config.geometry.banks();
     let (metrics, workers, shard_count) = if !config.parallelism.shard_by_bank || banks <= 1 {
         let shard = ShardInfo::whole_run();
         observe.on_shard_start(&shard);
-        // lint: allow(D2) — shard wall time goes to Observe::on_shard_finish only.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "shard wall time goes to Observe::on_shard_finish only"
+        )]
         let shard_start = Instant::now();
         let mut observer = observe.observer(&shard);
         let mut mitigation = build();
@@ -670,7 +645,10 @@ where
         let workers = config.parallelism.effective_workers();
         let results = crate::parallel::map_workers(shards, workers, |(info, shard)| {
             observe.on_shard_start(&info);
-            // lint: allow(D2) — shard wall time goes to Observe::on_shard_finish only.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "shard wall time goes to Observe::on_shard_finish only"
+            )]
             let shard_start = Instant::now();
             let mut observer = observe.observer(&info);
             let mut mitigation = build();

@@ -103,8 +103,10 @@ pub fn run(scale: &ExperimentScale) -> Vec<FloodingResult> {
                 phase,
                 first_trigger: MeanStd::of(&firsts),
                 worst: if worst.is_finite() {
-                    // Activation counts round-trip f64 exactly (< 2^53).
-                    #[allow(clippy::cast_possible_truncation)]
+                    #[allow(
+                        clippy::cast_possible_truncation,
+                        reason = "activation counts round-trip f64 exactly (< 2^53)"
+                    )]
                     {
                         worst as u64
                     }

@@ -159,7 +159,7 @@ mod tests {
     fn catalog_grid_covers_all_techniques_and_attacks() {
         let results = run(&ExperimentScale::quick());
         assert_eq!(results.len(), 9 * 4);
-        let techniques: std::collections::HashSet<&str> =
+        let techniques: std::collections::BTreeSet<&str> =
             results.iter().map(|r| r.technique.as_str()).collect();
         assert_eq!(techniques.len(), 9);
         // At the weakened threshold, the synchronized burst flips bits

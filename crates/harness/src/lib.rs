@@ -57,7 +57,7 @@ pub mod scenario;
 pub mod table;
 pub mod techniques;
 
-pub use config::{ExperimentScale, Parallelism, RunConfig};
+pub use config::{ExperimentScale, Parallelism, RunConfig, UnknownScale};
 pub use dram_sim::BackendSpec;
 pub use engine::run_sharded;
 pub use metrics::{FlipRecord, MeanStd, RunMetrics, TimePoint, TimeSeries};

@@ -111,6 +111,9 @@ impl TimeSeries {
     /// Panics if the strides differ (the series are not shards of one
     /// recorded run).
     #[must_use]
+    // Rule D8: a float fold here would make the merged bits depend on
+    // merge order.
+    #[deny(clippy::float_arithmetic)]
     pub fn merge(self, other: TimeSeries) -> TimeSeries {
         assert_eq!(
             self.stride, other.stride,
@@ -323,6 +326,9 @@ impl RunMetrics {
     /// fields agree — so a parallel reduction merges shards in any
     /// grouping with identical results.
     #[must_use]
+    // Rule D8: a float fold here would make the merged bits depend on
+    // merge order.
+    #[deny(clippy::float_arithmetic)]
     pub fn merge(self, other: RunMetrics) -> RunMetrics {
         RunMetrics {
             technique: self.technique,
@@ -387,6 +393,9 @@ impl RunMetrics {
     /// `time_to_first_flip` become population minima: the earliest
     /// (bank-local) occurrence on any device.
     #[must_use]
+    // Rule D8: a float fold here would make the merged bits depend on
+    // merge order.
+    #[deny(clippy::float_arithmetic)]
     pub fn merge_population(self, other: RunMetrics) -> RunMetrics {
         let technique = if self.technique == other.technique {
             self.technique.clone()

@@ -245,16 +245,6 @@ pub trait Observe: Send + Sync {
     }
 }
 
-/// The no-op observation strategy (used by the deprecated-shim paths).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullObserve;
-
-impl Observe for NullObserve {
-    fn observer(&self, _shard: &ShardInfo) -> Box<dyn Observer> {
-        Box::new(NullObserver)
-    }
-}
-
 impl Observe for &[Box<dyn Observe>] {
     fn observer(&self, shard: &ShardInfo) -> Box<dyn Observer> {
         match self.len() {
@@ -789,7 +779,7 @@ mod tests {
     }
 
     #[test]
-    fn observe_slice_fans_out_and_null_observe_is_empty() {
+    fn observe_slice_fans_out_and_empty_slice_is_inert() {
         let list: Vec<Box<dyn Observe>> = vec![
             Box::new(TimeSeriesRecorder::new(8)),
             Box::new(PerfCounters::new()),
@@ -803,9 +793,6 @@ mod tests {
         assert!(m.timeseries.is_some());
         let empty: &[Box<dyn Observe>] = &[];
         let _ = empty.observer(&shard); // NullObserver; nothing to assert beyond no panic
-        assert!(
-            NullObserve.observer(&shard).as_mut() as *mut dyn Observer as *const () as usize != 0
-        );
     }
 
     #[test]

@@ -17,19 +17,21 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The number of worker threads [`map`] uses: the `RH_WORKERS`
-/// environment variable if set and nonzero, otherwise
+/// environment variable if [`parse_workers`] accepts it, otherwise
 /// `std::thread::available_parallelism`.
 pub fn available_workers() -> usize {
-    if let Ok(value) = std::env::var("RH_WORKERS") {
-        if let Ok(n) = value.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    parse_workers(std::env::var("RH_WORKERS").ok().as_deref()).unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
+}
+
+/// The worker count an `RH_WORKERS` value asks for: a positive integer,
+/// surrounding whitespace allowed.  Unset, zero or unparsable values
+/// give `None`, which means auto-detect.
+pub fn parse_workers(value: Option<&str>) -> Option<usize> {
+    value?.trim().parse().ok().filter(|&n| n > 0)
 }
 
 /// Hands out `0..len` in contiguous chunks, in ascending (FIFO) order.
@@ -71,8 +73,10 @@ impl Dispatcher {
     /// checker in `tests/model_check.rs` exhaustively verifies the
     /// claim/merge algebra under every interleaving.
     pub fn claim(&self) -> Option<Range<usize>> {
-        // lint: allow(D4) — atomic RMW total order alone guarantees
-        // disjoint claims; scope spawn/join provide the data edges.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "Relaxed: the RMW total order alone makes claims disjoint; scope spawn/join carry the data edges"
+        )]
         let start = self.cursor.fetch_add(self.chunk, Ordering::Relaxed);
         if start >= self.len {
             return None;
@@ -89,8 +93,8 @@ impl Dispatcher {
 /// workers before the slots are read.
 struct Slots<T>(Vec<UnsafeCell<MaybeUninit<T>>>);
 
-// lint: allow(D4) — dispatcher hands each index to exactly one worker,
-// so slot access is exclusive; see the struct-level SAFETY argument.
+// SAFETY: the dispatcher hands each index to exactly one worker, so
+// slot access is exclusive; see the struct-level argument.
 unsafe impl<T: Send> Sync for Slots<T> {}
 
 impl<T> Slots<T> {
@@ -108,9 +112,9 @@ impl<T> Slots<T> {
     ///
     /// `index` must be claimed from the dispatcher by the calling worker
     /// (exclusive access), and written at most once.
-    // lint: allow(D4) — caller holds the dispatcher claim for `index`,
-    // so the cell is never aliased; covers the fn and its one deref.
     unsafe fn write(&self, index: usize, value: T) {
+        // SAFETY: the caller holds the dispatcher claim for `index`, so
+        // the cell is never aliased.
         unsafe { (*self.0[index].get()).write(value) };
     }
 
@@ -120,13 +124,11 @@ impl<T> Slots<T> {
     ///
     /// Every slot must have been written exactly once, and all writers
     /// joined.
-    // lint: allow(D4) — caller guarantees all writers joined, so every
-    // slot is initialised and owned here.
     unsafe fn into_vec(self) -> Vec<T> {
         self.0
             .into_iter()
-            // lint: allow(D4) — per the fn contract each cell was
-            // written exactly once, so assume_init is sound.
+            // SAFETY: per the fn contract each cell was written exactly
+            // once, so `assume_init` is sound.
             .map(|cell| unsafe { cell.into_inner().assume_init() })
             .collect()
     }
@@ -214,8 +216,10 @@ impl TwoLevelDispatcher {
     /// published before `thread::scope` spawns the workers and results
     /// are read after it joins them, so those edges carry the data.
     fn claim_job(&self, device: usize) -> Option<(usize, usize)> {
-        // lint: allow(D4) — atomic RMW total order alone guarantees
-        // each (device, job) index is handed out exactly once.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "Relaxed: the RMW total order alone hands each (device, job) index out exactly once"
+        )]
         let job = self.job_cursors[device].fetch_add(1, Ordering::Relaxed);
         (job < self.job_counts[device]).then_some((device, job))
     }
@@ -232,8 +236,10 @@ impl TwoLevelDispatcher {
                 cursor.device = None;
             }
             // Level 1b: own a fresh device (FIFO in device order).
-            // lint: allow(D4) — same RMW-atomicity argument as above:
-            // each device index is owned by at most one worker.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "Relaxed: as in `claim_job`, RMW atomicity alone gives each device index at most one owner"
+            )]
             let device = self.device_cursor.fetch_add(1, Ordering::Relaxed);
             if device < self.job_counts.len() {
                 cursor.device = Some(device);
@@ -285,15 +291,13 @@ where
     struct Jobs<I>(Vec<UnsafeCell<Option<I>>>);
     // SAFETY: same exclusivity argument as `Slots` — each index is
     // claimed by exactly one worker.
-    // lint: allow(D4) — exclusive per-index access via dispatcher claims.
     unsafe impl<I: Send> Sync for Jobs<I> {}
     impl<I> Jobs<I> {
         /// # Safety
         ///
         /// `index` must be exclusively claimed by the calling worker.
-        // lint: allow(D4) — caller holds the claim for `index`; covers
-        // the fn and its one deref.
         unsafe fn take(&self, index: usize) -> Option<I> {
+            // SAFETY: the caller holds the claim for `index`.
             unsafe { (*self.0[index].get()).take() }
         }
     }
@@ -311,11 +315,9 @@ where
                         // SAFETY: `index` came from `dispatcher.claim()`
                         // on this thread, so no other thread reads or
                         // writes these cells.
-                        // lint: allow(D4) — index exclusively claimed
-                        // above; take and write touch only its cells.
                         let input = unsafe { jobs.take(index) }.expect("job dispatched twice");
                         let output = f(input);
-                        // lint: allow(D4) — same claim covers the write.
+                        // SAFETY: the same claim covers the write.
                         unsafe { slots.write(index, output) };
                     }
                 }
@@ -324,7 +326,6 @@ where
     });
     // SAFETY: the scope joined every worker, and the dispatcher handed
     // out each index exactly once, so every slot is initialised.
-    // lint: allow(D4) — join happened above; every slot written once.
     unsafe { slots.into_vec() }
 }
 
@@ -484,9 +485,11 @@ mod tests {
     }
 
     #[test]
-    fn worker_env_override_is_respected() {
-        // available_workers parses RH_WORKERS when set; this only
-        // exercises the parse path without mutating the environment.
-        assert!(available_workers() >= 1);
+    fn worker_env_values_parse_or_fall_back_to_auto() {
+        assert_eq!(parse_workers(Some("4")), Some(4));
+        assert_eq!(parse_workers(Some(" 3 ")), Some(3));
+        assert_eq!(parse_workers(Some("0")), None);
+        assert_eq!(parse_workers(Some("garbage")), None);
+        assert_eq!(parse_workers(None), None);
     }
 }

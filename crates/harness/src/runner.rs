@@ -176,8 +176,10 @@ impl Runner {
             );
         }
         let observe: &[Box<dyn Observe>] = &self.observers;
-        // lint: allow(D2) — wall time feeds only Observe shard/run
-        // callbacks, never RunMetrics.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall time feeds only Observe shard/run callbacks, never RunMetrics"
+        )]
         let start = Instant::now();
         let shard = ShardInfo::whole_run();
         observe.on_shard_start(&shard);

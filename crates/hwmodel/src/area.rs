@@ -377,9 +377,10 @@ pub fn area(technique: Technique, params: &HwParams, generation: DramGeneration)
         let factor = ddr3_replication_factor(technique, params);
         if factor > 1.0 {
             let base: u64 = components.iter().map(|c| c.luts).sum();
-            // LUT counts are ≪ 2^53; the float product is exact enough
-            // and nonnegative (factor > 1.0 checked above).
-            #[allow(clippy::cast_possible_truncation)]
+            #[allow(
+                clippy::cast_possible_truncation,
+                reason = "LUT counts are ≪ 2^53; the float product is exact enough and nonnegative (factor > 1.0 checked above)"
+            )]
             let extra = ((factor - 1.0) * base as f64) as u64;
             components.push(Component {
                 name: "ddr3 parallelisation (replicated lanes)",

@@ -23,7 +23,7 @@
 use serde::{Deserialize, Serialize};
 
 /// States of the Fig. 2 FSM (LiPRoMi / LoPRoMi / LoLiPRoMi).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum TimeVaryingState {
     /// Waiting for a command.
     Idle,
@@ -42,7 +42,7 @@ pub enum TimeVaryingState {
 }
 
 /// States of the Fig. 3 FSM (CaPRoMi).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum CounterAssistedState {
     /// Waiting for a command.
     Idle,

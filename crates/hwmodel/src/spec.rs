@@ -15,12 +15,11 @@
 //!   exactly the states the cycle model charges for.
 
 use crate::fsm::{CounterAssistedState, TimeVaryingState};
-use std::collections::{HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::fmt::Debug;
-use std::hash::Hash;
 
 /// Events of the Fig. 2 machine (labels from the figure).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TvEvent {
     /// `act` command observed.
     Act,
@@ -45,7 +44,7 @@ pub enum TvEvent {
 }
 
 /// Events of the Fig. 3 machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CaEvent {
     /// `act` command observed.
     Act,
@@ -102,8 +101,8 @@ pub struct StateMachine<S, E> {
 
 impl<S, E> StateMachine<S, E>
 where
-    S: Copy + Eq + Hash + Debug,
-    E: Copy + Eq + Hash + Debug,
+    S: Copy + Ord + Debug,
+    E: Copy + Ord + Debug,
 {
     /// The successor of `state` on `event`, if defined.
     pub fn step(&self, state: S, event: E) -> Option<S> {
@@ -114,8 +113,8 @@ where
     }
 
     /// All states mentioned by the machine.
-    pub fn states(&self) -> HashSet<S> {
-        let mut states: HashSet<S> = HashSet::new();
+    pub fn states(&self) -> BTreeSet<S> {
+        let mut states: BTreeSet<S> = BTreeSet::new();
         states.insert(self.initial);
         for &(from, _, to) in &self.transitions {
             states.insert(from);
@@ -126,15 +125,15 @@ where
 
     /// Whether every (state, event) pair has at most one successor.
     pub fn is_deterministic(&self) -> bool {
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         self.transitions
             .iter()
             .all(|&(from, event, _)| seen.insert((from, event)))
     }
 
     /// States reachable from the initial state.
-    pub fn reachable(&self) -> HashSet<S> {
-        let mut reached = HashSet::new();
+    pub fn reachable(&self) -> BTreeSet<S> {
+        let mut reached = BTreeSet::new();
         let mut queue = VecDeque::new();
         reached.insert(self.initial);
         queue.push_back(self.initial);
@@ -152,7 +151,7 @@ where
     /// returns to idle before the next command).
     pub fn all_reach(&self, target: S) -> bool {
         // Reverse reachability from `target`.
-        let mut reaches = HashSet::new();
+        let mut reaches = BTreeSet::new();
         reaches.insert(target);
         let mut changed = true;
         while changed {
@@ -332,13 +331,13 @@ mod tests {
         assert_eq!(visited.last(), Some(&S::Idle));
         // Conformance with the cycle walk: the per-entry loop visits the
         // four states the ref walk charges four cycles per entry for.
-        let walk_states: std::collections::HashSet<S> = counter_assisted_ref_states();
+        let walk_states: std::collections::BTreeSet<S> = counter_assisted_ref_states();
         for s in [S::FindLinked, S::Weight, S::LogWeight, S::Decision] {
             assert!(walk_states.contains(&s), "{s:?} not charged by the walk");
         }
     }
 
-    fn counter_assisted_ref_states() -> std::collections::HashSet<CounterAssistedState> {
+    fn counter_assisted_ref_states() -> std::collections::BTreeSet<CounterAssistedState> {
         crate::fsm::counter_assisted_ref_walk(4)
             .iter()
             .map(|s| s.state)

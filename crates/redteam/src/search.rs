@@ -32,7 +32,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rh_harness::{parallel, Parallelism, RunConfig, Runner, TechniqueSpec};
 use rh_hwmodel::Technique;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Flip threshold used by the quick red-team configuration: the
 /// weakest-cell scenario (the paper's 139 K threshold scaled to the
@@ -327,7 +327,7 @@ pub fn search_technique(spec: TechniqueSpec, search: &SearchConfig) -> Technique
         // Dedup the round's pool by cache key, preserving first-seen
         // order, and dispatch only the misses.  The hit counter is a
         // function of the pool alone, never of worker scheduling.
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         let mut batch = Vec::new();
         for candidate in pool.drain(..) {
             let key = cache_key(&technique, &candidate, search.seed);
@@ -363,7 +363,7 @@ pub fn search_technique(spec: TechniqueSpec, search: &SearchConfig) -> Technique
         // achievers overall, the cheapest achiever of *each* shape
         // family survives, so a family whose best sits behind a wall
         // of same-budget ties still gets successively halved.
-        let mut family_best: HashSet<&str> = HashSet::new();
+        let mut family_best: BTreeSet<&str> = BTreeSet::new();
         let per_family: Vec<&&Evaluation> = achievers
             .iter()
             .filter(|e| family_best.insert(e.candidate.shape.family()))
@@ -451,7 +451,7 @@ mod tests {
 
     #[test]
     fn seed_grid_covers_every_shape_family() {
-        let families: HashSet<&str> = seed_candidates(&tiny())
+        let families: BTreeSet<&str> = seed_candidates(&tiny())
             .iter()
             .map(|c| c.shape.family())
             .collect();

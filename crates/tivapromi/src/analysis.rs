@@ -149,8 +149,10 @@ impl RetriggerTail {
 
     /// The flip horizon in refresh intervals: how long one retrigger gap
     /// must last for a victim to reach the threshold.
-    // Threshold / rate is a few thousand intervals, far inside u32.
-    #[allow(clippy::cast_possible_truncation)]
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "threshold / rate is a few thousand intervals, far inside u32"
+    )]
     pub fn horizon_intervals(&self) -> u32 {
         (f64::from(self.flip_threshold) / self.model.rate_per_interval).ceil() as u32
     }

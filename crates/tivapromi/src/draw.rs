@@ -59,8 +59,10 @@ pub fn threshold(p: f64) -> u64 {
     if p <= 0.0 {
         return 0;
     }
-    // Lossless: 0 < p < 1 bounds the product below 2⁵³ (see above).
-    #[allow(clippy::cast_possible_truncation)]
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "lossless: 0 < p < 1 bounds the product below 2⁵³ (see above)"
+    )]
     let bound = (p * (1u64 << 53) as f64).ceil() as u64;
     bound
 }

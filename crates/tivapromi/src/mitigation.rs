@@ -245,13 +245,13 @@ pub trait Mitigation: Send {
     /// per-event loop, but must preserve the *exact* per-event order of
     /// state updates and RNG draws: the engine's determinism contract
     /// (sequential ≡ sharded, batched ≡ scalar) depends on it.
-    // Hot path: segment event indices are bounded by the batch length,
-    // far below u32::MAX.
-    #[allow(clippy::cast_possible_truncation)]
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "event tags: segment indices are bounded by the batch length, far below u32::MAX"
+    )]
     fn on_batch(&mut self, batch: &EventBatch, range: Range<usize>, sink: &mut ActionSink) {
         for i in range {
             let (bank, row) = (batch.bank(i), batch.row(i));
-            // lint: allow(D5) — event tag: segment indices are bounded by the batch length.
             sink.record(i as u32, |actions| self.on_activate(bank, row, actions));
         }
     }

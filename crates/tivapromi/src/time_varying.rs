@@ -230,9 +230,10 @@ impl Mitigation for TimeVarying {
         }
     }
 
-    // Hot path: segment event indices are bounded by the batch length,
-    // far below u32::MAX.
-    #[allow(clippy::cast_possible_truncation)]
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "event tags: segment indices are bounded by the batch length, far below u32::MAX"
+    )]
     fn on_batch(&mut self, batch: &EventBatch, range: Range<usize>, sink: &mut ActionSink) {
         // Lane kernel: the interval clock, window length, mode and draw
         // mask are constant across a whole segment and hoisted; the
@@ -263,7 +264,6 @@ impl Mitigation for TimeVarying {
                         .get(interval, base % config.ref_int, config.ref_int, mode);
                 let weight = if found.is_some() { hit_w } else { miss_w };
                 if draw::masked(word, exponent) < u64::from(weight) {
-                    // lint: allow(D5) — event tag: segment indices are bounded by the batch length.
                     sink.push(i as u32, MitigationAction::ActivateNeighbors { bank, row });
                     history.record(row, interval);
                     self.triggers += 1;

@@ -393,7 +393,7 @@ impl Attacker {
         victims.dedup();
         // A row that is itself an aggressor is being refreshed by the
         // attack and is not a meaningful victim.
-        let aggr: std::collections::HashSet<RowAddr> = aggressors.into_iter().collect();
+        let aggr: std::collections::BTreeSet<RowAddr> = aggressors.into_iter().collect();
         victims.retain(|v| !aggr.contains(v));
         victims
     }

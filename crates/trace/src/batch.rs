@@ -203,9 +203,10 @@ impl EventBatch {
     /// [`EventBatch::end_interval`] (every pushed event must be closed
     /// by a boundary before the batch is consumed).
     #[inline]
-    // Hot path: the tick is the interval ordinal, bounded by the run's
-    // interval count, far below u32::MAX.
-    #[allow(clippy::cast_possible_truncation)]
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "hot path: the tick is the interval ordinal, bounded by the run's interval count, far below u32::MAX"
+    )]
     pub fn push_event(&mut self, bank: BankId, row: RowAddr, aggressor: bool) {
         self.banks.push(bank);
         self.rows.push(row);

@@ -109,8 +109,10 @@ impl Cache {
         }
     }
 
-    // Reduced modulo the set count, which itself came from a u32.
-    #[allow(clippy::cast_possible_truncation)]
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "reduced modulo the set count, which itself came from a u32"
+    )]
     fn set_index(&self, line: u64) -> usize {
         div_rem(line, self.sets).1 as usize
     }

@@ -70,8 +70,10 @@ pub struct CpuWorkloadConfig {
 
 impl CpuWorkloadConfig {
     /// See [`CpuWorkload::decode`].
-    // Both quantities are reduced modulo a u32 bound, so they fit u32.
-    #[allow(clippy::cast_possible_truncation)]
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "both quantities are reduced modulo a u32 bound, so they fit u32"
+    )]
     fn decode(&self, line: u64) -> (BankId, RowAddr) {
         let (rest, bank) = div_rem(line, u64::from(self.banks));
         let (row_seq, _) = div_rem(rest, u64::from(self.lines_per_row));
@@ -358,7 +360,7 @@ mod tests {
         // Streaming misses every line: 60 × 4 activations.
         assert_eq!(out.len(), 240);
         // Consecutive lines interleave across banks.
-        let banks: std::collections::HashSet<BankId> = out.iter().map(|e| e.bank).collect();
+        let banks: std::collections::BTreeSet<BankId> = out.iter().map(|e| e.bank).collect();
         assert_eq!(banks.len(), 4);
     }
 

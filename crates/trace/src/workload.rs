@@ -345,7 +345,7 @@ mod tests {
         let mut w = SpecLikeWorkload::new(cfg, 5);
         let mut out = Vec::new();
         while w.next_interval(&mut out) {}
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = std::collections::BTreeMap::new();
         let bank0 = out.iter().filter(|e| e.bank == BankId(0));
         let mut total = 0u64;
         for e in bank0 {

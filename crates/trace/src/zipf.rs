@@ -141,8 +141,11 @@ impl Zipf {
 /// `⌊p·n⌋`, clamped to `n`.  Monotone in `p`, which is all the guide
 /// table's exactness rests on.
 #[inline]
-// The float-to-int cast saturates (and maps NaN to 0); `min` bounds it.
-#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+#[allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "the float-to-int cast saturates (and maps NaN to 0); `min` bounds it"
+)]
 fn bucket(p: f64, n: usize) -> usize {
     ((p * n as f64) as usize).min(n)
 }

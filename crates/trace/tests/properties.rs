@@ -132,7 +132,7 @@ proptest! {
             if !mix.next_interval(&mut out) {
                 break;
             }
-            let mut per_bank = std::collections::HashMap::new();
+            let mut per_bank = std::collections::BTreeMap::new();
             for e in &out {
                 *per_bank.entry(e.bank).or_insert(0u32) += 1;
             }

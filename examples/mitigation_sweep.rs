@@ -7,10 +7,10 @@ use tivapromi_suite::harness::experiments::fig4;
 use tivapromi_suite::harness::ExperimentScale;
 
 fn main() {
-    let scale = std::env::args()
-        .nth(1)
-        .and_then(|s| ExperimentScale::from_name(&s))
-        .unwrap_or_else(ExperimentScale::quick);
+    let scale = match std::env::args().nth(1) {
+        None => ExperimentScale::quick(),
+        arg => ExperimentScale::from_arg_or_exit(arg.as_deref()),
+    };
     eprintln!(
         "sweeping 9 techniques at {} windows × {} banks × {} seeds…",
         scale.windows, scale.banks, scale.seeds

@@ -10,6 +10,10 @@
 //! When invoked with `--test` (as `cargo test` does for
 //! `harness = false` bench targets) each benchmark body runs exactly
 //! once so test runs stay fast.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a benchmark harness measures wall time; its readings never reach simulation results"
+)]
 
 use std::time::{Duration, Instant};
 

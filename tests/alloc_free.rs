@@ -61,32 +61,30 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-// lint: allow(D4) — GlobalAlloc is an unsafe trait; the impl forwards
-// every call to System verbatim and only bumps a counter.
+// SAFETY: the impl forwards every call to `System` verbatim and only
+// bumps a thread-local counter, so it upholds `GlobalAlloc`'s contract
+// exactly as `System` does.
 unsafe impl GlobalAlloc for CountingAllocator {
-    // lint: allow(D4) — unsafe-trait method; bumps a thread-local count.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_this_thread();
-        // lint: allow(D4) — verbatim System forwarding per the trait contract.
+        // SAFETY: verbatim `System` forwarding per the trait contract.
         unsafe { System.alloc(layout) }
     }
 
-    // lint: allow(D4) — unsafe-trait method; bumps a thread-local count.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count_this_thread();
-        // lint: allow(D4) — verbatim System forwarding per the trait contract.
+        // SAFETY: verbatim `System` forwarding per the trait contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
-    // lint: allow(D4) — unsafe-trait method; bumps a thread-local count.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_this_thread();
-        // lint: allow(D4) — verbatim System forwarding per the trait contract.
+        // SAFETY: verbatim `System` forwarding per the trait contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
-    // lint: allow(D4) — unsafe-trait method forwarding to System verbatim.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: verbatim `System` forwarding per the trait contract.
         unsafe { System.dealloc(ptr, layout) }
     }
 }
