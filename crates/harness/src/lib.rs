@@ -19,7 +19,8 @@
 //! | [`experiments::ablation`] | design-choice sweeps (history size, `P_base`, lock threshold) |
 //!
 //! Each experiment has a matching binary (`cargo run --release --bin
-//! fig4_tradeoff` etc.) and a Criterion bench in the `rh-bench` crate.
+//! fig4_tradeoff` etc.) and an `rh` subcommand (`rh all quick` runs
+//! every one).
 //!
 //! ## Example
 //!

@@ -4,11 +4,11 @@
 //! The paper's evaluation reduces every run to end-of-run scalars
 //! (Table III overhead μ±σ, FPR, first-trigger points).  This module
 //! opens the run up: an [`Observer`] receives callbacks *during* a run
-//! — per activation, per mitigation action, per refresh-interval
-//! boundary — and an [`Observe`] strategy forks one observer per bank
-//! shard of a parallel run and joins the results back together, so
-//! observability composes with the sharded engine without perturbing
-//! its bit-identical determinism contract.
+//! — per mitigation action, per refresh-interval boundary, at run end —
+//! and an [`Observe`] strategy forks one observer per bank shard of a
+//! parallel run and joins the results back together, so observability
+//! composes with the sharded engine without perturbing its bit-identical
+//! determinism contract.
 //!
 //! Three concrete observers cover the common questions:
 //!
@@ -33,7 +33,6 @@
 use crate::metrics::{RunMetrics, TimePoint, TimeSeries};
 use crate::table::TextTable;
 use dram_sim::{BankId, DramDevice, RowAddr};
-use mem_trace::EventBatch;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -94,36 +93,13 @@ pub struct IntervalSnapshot<'a> {
 /// or the whole of a sequential one).
 ///
 /// All methods default to no-ops so implementations override only the
-/// granularity they need; per-activation hooks are on the engine's hot
-/// path and should stay O(1) and allocation-free.
+/// granularity they need; per-action hooks are on the engine's hot path
+/// and should stay O(1) and allocation-free.
 pub trait Observer: Send {
-    /// A workload activation of `row` in `bank` was delivered
-    /// (`aggressor` is the trace's ground-truth label).
-    fn on_activation(&mut self, bank: BankId, row: RowAddr, aggressor: bool) {
-        let _ = (bank, row, aggressor);
-    }
-
     /// The mitigation issued `action`; `true_positive` is the
     /// ground-truth attribution against the trace's aggressor ledger.
     fn on_action(&mut self, action: &MitigationAction, true_positive: bool) {
         let _ = (action, true_positive);
-    }
-
-    /// One interval segment of an [`EventBatch`] is about to be
-    /// replayed: the events at `range` belong to the interval whose
-    /// [`Observer::on_interval_end`] fires next.
-    ///
-    /// The default fans out to [`Observer::on_activation`] per event,
-    /// so per-event observers see every activation unchanged.  Batch
-    /// granularity lets an observer touch its counters once per
-    /// interval instead of once per activation; note that all of a
-    /// segment's activations are reported *before* the segment's
-    /// [`Observer::on_action`] calls (the scalar path interleaved
-    /// them), while interval-end state is identical.
-    fn on_batch(&mut self, batch: &EventBatch, range: std::ops::Range<usize>) {
-        for i in range {
-            self.on_activation(batch.bank(i), batch.row(i), batch.aggressor(i));
-        }
     }
 
     /// A refresh interval completed (after the auto-refresh and the
@@ -147,22 +123,11 @@ pub trait Observer: Send {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullObserver;
 
-impl Observer for NullObserver {
-    fn on_batch(&mut self, _batch: &EventBatch, _range: std::ops::Range<usize>) {
-        // Explicitly empty (not the fan-out default): the unobserved
-        // engine must not even loop over the segment.
-    }
-}
+impl Observer for NullObserver {}
 
 impl Observer for Box<dyn Observer> {
-    fn on_activation(&mut self, bank: BankId, row: RowAddr, aggressor: bool) {
-        (**self).on_activation(bank, row, aggressor);
-    }
     fn on_action(&mut self, action: &MitigationAction, true_positive: bool) {
         (**self).on_action(action, true_positive);
-    }
-    fn on_batch(&mut self, batch: &EventBatch, range: std::ops::Range<usize>) {
-        (**self).on_batch(batch, range);
     }
     fn on_interval_end(&mut self, snapshot: &IntervalSnapshot<'_>) {
         (**self).on_interval_end(snapshot);
@@ -177,19 +142,9 @@ impl Observer for Box<dyn Observer> {
 pub struct FanoutObserver(pub Vec<Box<dyn Observer>>);
 
 impl Observer for FanoutObserver {
-    fn on_activation(&mut self, bank: BankId, row: RowAddr, aggressor: bool) {
-        for o in &mut self.0 {
-            o.on_activation(bank, row, aggressor);
-        }
-    }
     fn on_action(&mut self, action: &MitigationAction, true_positive: bool) {
         for o in &mut self.0 {
             o.on_action(action, true_positive);
-        }
-    }
-    fn on_batch(&mut self, batch: &EventBatch, range: std::ops::Range<usize>) {
-        for o in &mut self.0 {
-            o.on_batch(batch, range.clone());
         }
     }
     fn on_interval_end(&mut self, snapshot: &IntervalSnapshot<'_>) {

@@ -120,12 +120,6 @@ impl EventBatch {
         self.rows[i]
     }
 
-    /// Ground-truth aggressor label of event `i`.
-    #[inline]
-    pub fn aggressor(&self, i: usize) -> bool {
-        self.aggressors[i]
-    }
-
     /// Interval ordinal (within the batch) of event `i`.
     #[inline]
     pub fn tick(&self, i: usize) -> u32 {
@@ -230,29 +224,6 @@ impl EventBatch {
             self.aggressors.push(e.aggressor);
             self.ticks.push(tick);
         }
-        self.boundaries.push(self.banks.len());
-    }
-
-    /// Appends one whole interval from recorded SoA columns and closes
-    /// its boundary — the memcpy path for replaying captured column
-    /// data without reassembling per-event structs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column lengths disagree.
-    pub fn push_interval_columns(
-        &mut self,
-        banks: &[BankId],
-        rows: &[RowAddr],
-        aggressors: &[bool],
-    ) {
-        assert_eq!(banks.len(), rows.len(), "column lengths must agree");
-        assert_eq!(banks.len(), aggressors.len(), "column lengths must agree");
-        let tick = u32::try_from(self.boundaries.len()).expect("interval ordinal fits u32");
-        self.banks.extend_from_slice(banks);
-        self.rows.extend_from_slice(rows);
-        self.aggressors.extend_from_slice(aggressors);
-        self.ticks.resize(self.banks.len(), tick);
         self.boundaries.push(self.banks.len());
     }
 
