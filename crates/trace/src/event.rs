@@ -3,6 +3,8 @@
 use crate::batch::EventBatch;
 use dram_sim::{BankId, RowAddr};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 /// One row activation in the trace.
 ///
@@ -288,6 +290,14 @@ impl TraceSplit for IdleTrace {
 
 /// A pre-recorded trace replayed interval by interval.
 ///
+/// A `ReplayTrace` is a cursor over one immutable recording that every
+/// clone and bank shard shares, so `clone()` bumps a reference count
+/// instead of copying events.  The first [`TraceSplit::bank_shard`] on
+/// any of them splits the recording into per-bank lanes, once, in time
+/// linear in its events; every later shard, of any clone or shard,
+/// reuses those lanes.  A shard always replays its lane from interval 0,
+/// however far the cursor it was taken from has advanced.
+///
 /// ```
 /// use mem_trace::{ReplayTrace, TraceEvent, TraceSource};
 /// use dram_sim::{BankId, RowAddr};
@@ -304,10 +314,77 @@ impl TraceSplit for IdleTrace {
 /// assert!(replay.next_interval(&mut out)); // empty interval still ticks
 /// assert!(!replay.next_interval(&mut out)); // exhausted
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ReplayTrace {
-    intervals: std::collections::VecDeque<Vec<TraceEvent>>,
-    total: u64,
+    recording: Arc<Recording>,
+    /// Index of the next interval to deliver.
+    next: usize,
+}
+
+/// The events behind a [`ReplayTrace`], its clones and its shards.
+#[derive(Debug)]
+enum Recording {
+    /// As recorded, one `Vec` per interval; the per-bank lanes are split
+    /// off on the first shard.
+    Whole {
+        intervals: Vec<Vec<TraceEvent>>,
+        lanes: OnceLock<Vec<(BankId, Arc<Recording>)>>,
+    },
+    /// One bank's events, contiguous; interval `i` ends at `ends[i]`.
+    Lane {
+        bank: BankId,
+        events: Vec<TraceEvent>,
+        ends: Vec<usize>,
+    },
+}
+
+impl Recording {
+    fn len(&self) -> usize {
+        match self {
+            Recording::Whole { intervals, .. } => intervals.len(),
+            Recording::Lane { ends, .. } => ends.len(),
+        }
+    }
+
+    fn interval(&self, index: usize) -> Option<&[TraceEvent]> {
+        match self {
+            Recording::Whole { intervals, .. } => intervals.get(index).map(Vec::as_slice),
+            Recording::Lane { events, ends, .. } => {
+                let end = *ends.get(index)?;
+                let start = index.checked_sub(1).map_or(0, |previous| ends[previous]);
+                Some(&events[start..end])
+            }
+        }
+    }
+}
+
+/// Partitions `intervals` into per-bank lanes, in bank order.  Every
+/// lane keeps every interval, empty where its bank is silent, so shards
+/// tick in step with the parent.
+fn split(intervals: &[Vec<TraceEvent>]) -> Vec<(BankId, Arc<Recording>)> {
+    // Sizing each lane before filling it allocates its events once,
+    // without the copies and slack of a growing `Vec`.
+    let mut sizes: BTreeMap<BankId, usize> = BTreeMap::new();
+    for event in intervals.iter().flatten() {
+        *sizes.entry(event.bank).or_default() += 1;
+    }
+    let mut lanes: BTreeMap<BankId, (Vec<TraceEvent>, Vec<usize>)> = sizes
+        .into_iter()
+        .map(|(bank, size)| (bank, (Vec::with_capacity(size), Vec::new())))
+        .collect();
+    for events in intervals {
+        for &event in events {
+            let (lane, _) = lanes.get_mut(&event.bank).expect("every bank was sized");
+            lane.push(event);
+        }
+        for (events, ends) in lanes.values_mut() {
+            ends.push(events.len());
+        }
+    }
+    lanes
+        .into_iter()
+        .map(|(bank, (events, ends))| (bank, Arc::new(Recording::Lane { bank, events, ends })))
+        .collect()
 }
 
 impl ReplayTrace {
@@ -316,17 +393,34 @@ impl ReplayTrace {
     where
         I: IntoIterator<Item = Vec<TraceEvent>>,
     {
-        let intervals: std::collections::VecDeque<_> = intervals.into_iter().collect();
-        let total = intervals.len() as u64;
-        ReplayTrace { intervals, total }
+        ReplayTrace {
+            recording: Arc::new(Recording::Whole {
+                intervals: intervals.into_iter().collect(),
+                lanes: OnceLock::new(),
+            }),
+            next: 0,
+        }
+    }
+
+    /// The next recorded interval, advancing the cursor past it.
+    fn advance(&mut self) -> Option<&[TraceEvent]> {
+        let events = self.recording.interval(self.next)?;
+        self.next += 1;
+        Some(events)
+    }
+}
+
+impl Default for ReplayTrace {
+    fn default() -> Self {
+        ReplayTrace::new(Vec::new())
     }
 }
 
 impl TraceSource for ReplayTrace {
     fn next_interval(&mut self, out: &mut Vec<TraceEvent>) -> bool {
-        match self.intervals.pop_front() {
-            Some(batch) => {
-                out.extend(batch);
+        match self.advance() {
+            Some(events) => {
+                out.extend_from_slice(events);
                 true
             }
             None => false,
@@ -334,7 +428,7 @@ impl TraceSource for ReplayTrace {
     }
 
     fn intervals_hint(&self) -> Option<u64> {
-        Some(self.total)
+        Some(self.recording.len() as u64)
     }
 
     fn next_batch(&mut self, batch: &mut EventBatch, max_intervals: u64) -> bool {
@@ -344,9 +438,9 @@ impl TraceSource for ReplayTrace {
         let cap = max_intervals.min(batch.target_events() as u64);
         let mut delivered = 0u64;
         while delivered < cap && !batch.is_full() {
-            match self.intervals.pop_front() {
+            match self.advance() {
                 Some(events) => {
-                    batch.push_interval(&events);
+                    batch.push_interval(events);
                     delivered += 1;
                 }
                 None => break,
@@ -358,13 +452,22 @@ impl TraceSource for ReplayTrace {
 
 impl TraceSplit for ReplayTrace {
     fn bank_shard(&self, bank: BankId) -> Box<dyn TraceSplit> {
-        Box::new(ReplayTrace::new(self.intervals.iter().map(|batch| {
-            batch
-                .iter()
-                .filter(|e| e.bank == bank)
-                .copied()
-                .collect::<Vec<_>>()
-        })))
+        let lane = match &*self.recording {
+            Recording::Whole { intervals, lanes } => {
+                let lanes = lanes.get_or_init(|| split(intervals));
+                lanes
+                    .binary_search_by_key(&bank, |(b, _)| *b)
+                    .ok()
+                    .map(|index| Arc::clone(&lanes[index].1))
+            }
+            Recording::Lane { bank: own, .. } => {
+                (*own == bank).then(|| Arc::clone(&self.recording))
+            }
+        };
+        match lane {
+            Some(recording) => Box::new(ReplayTrace { recording, next: 0 }),
+            None => Box::new(IdleTrace::new(self.recording.len() as u64)),
+        }
     }
 }
 
@@ -409,6 +512,28 @@ mod tests {
         assert!(shard.next_interval(&mut out));
         assert_eq!(out, vec![TraceEvent::benign(BankId(1), RowAddr(3))]);
         assert!(!shard.next_interval(&mut out));
+    }
+
+    #[test]
+    fn clones_and_shards_share_one_recording() {
+        let trace = ReplayTrace::new(vec![
+            vec![TraceEvent::benign(BankId(2), RowAddr(1))],
+            vec![TraceEvent::attack(BankId(0), RowAddr(2))],
+        ]);
+        let clone = trace.clone();
+        assert!(Arc::ptr_eq(&trace.recording, &clone.recording));
+        let Recording::Whole { lanes, .. } = &*clone.recording else {
+            panic!("a new trace holds the whole recording");
+        };
+        assert!(lanes.get().is_none());
+        let _ = trace.bank_shard(BankId(0));
+        // One split serves every clone: the lanes are already there.
+        let lanes = lanes.get().expect("lanes built once");
+        let banks: Vec<BankId> = lanes.iter().map(|(bank, _)| *bank).collect();
+        assert_eq!(banks, vec![BankId(0), BankId(2)]);
+        // A bank no event names is an idle shard of the same length.
+        let idle = clone.bank_shard(BankId(1));
+        assert_eq!(idle.intervals_hint(), Some(2));
     }
 
     #[test]

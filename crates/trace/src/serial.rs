@@ -104,6 +104,15 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_line_is_rejected_without_overflowing_the_stack() {
+        // The JSON parser recurses once per nesting level: without its
+        // depth cap, this line overflows the stack and aborts.
+        let line = "[".repeat(100_000);
+        let err = read_jsonl(line.as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
     fn blank_lines_are_skipped() {
         let replay = read_jsonl("\n\n[]\n".as_bytes()).unwrap();
         assert_eq!(replay.intervals_hint(), Some(1));

@@ -5,12 +5,14 @@
 //! the parent's bank-`b` events, in the parent's per-bank order, over
 //! exactly the parent's interval count — so the union of the shards is
 //! a partition of the full trace (no event lost, duplicated, or moved
-//! across intervals), independent of which other banks exist.
+//! across intervals), independent of which other banks exist.  Every
+//! parent and shard is drained twice, through `next_interval` and
+//! through the engine's delivery path, `next_batch`, and both must agree.
 
 use dram_sim::{BankId, Geometry, RowAddr};
 use mem_trace::{
-    AttackConfig, AttackKind, Attacker, MixedTrace, ReplayTrace, SpecLikeWorkload, TraceEvent,
-    TraceSource, TraceSplit, WorkloadConfig,
+    AttackConfig, AttackKind, Attacker, EventBatch, MixedTrace, ReplayTrace, SpecLikeWorkload,
+    TraceEvent, TraceSource, TraceSplit, WorkloadConfig,
 };
 use proptest::prelude::*;
 
@@ -25,14 +27,43 @@ fn drain<S: TraceSource>(mut source: S) -> Vec<Vec<TraceEvent>> {
     intervals
 }
 
+/// Drains a source through `next_batch` at `target_events` per fill,
+/// splitting each batch back into its intervals.
+fn drain_batched<S: TraceSource>(mut source: S, target_events: usize) -> Vec<Vec<TraceEvent>> {
+    let mut batch = EventBatch::with_target_events(target_events);
+    let mut intervals = Vec::new();
+    while source.next_batch(&mut batch, u64::MAX) {
+        for interval in 0..batch.intervals() {
+            intervals.push(batch.segment(interval).map(|i| batch.event(i)).collect());
+        }
+    }
+    intervals
+}
+
+/// Drains one source from `make` through `next_interval` and another
+/// through `next_batch` at `target_events`, and requires the same
+/// events and interval boundaries from both.
+fn drain_both(
+    make: &dyn Fn() -> Box<dyn TraceSplit>,
+    target_events: usize,
+) -> Vec<Vec<TraceEvent>> {
+    let intervals = drain(make());
+    assert_eq!(
+        drain_batched(make(), target_events),
+        intervals,
+        "next_batch at {target_events} events per fill diverges from next_interval"
+    );
+    intervals
+}
+
 /// Asserts the partition property for a source builder: each bank's
 /// shard equals the parent's bank filter, interval by interval, and the
-/// shards jointly cover every parent event.
-fn assert_partition(make: &dyn Fn() -> Box<dyn TraceSplit>, banks: u32) {
-    let parent = drain(make());
+/// shards jointly cover every parent event, on both delivery paths.
+fn assert_partition(make: &dyn Fn() -> Box<dyn TraceSplit>, banks: u32, target_events: usize) {
+    let parent = drain_both(make, target_events);
     let mut covered = 0usize;
     for bank in (0..banks).map(BankId) {
-        let shard = drain(make().bank_shard(bank));
+        let shard = drain_both(&|| make().bank_shard(bank), target_events);
         assert_eq!(
             shard.len(),
             parent.len(),
@@ -72,6 +103,28 @@ fn workload(banks: u32, intervals: u64, seed: u64) -> SpecLikeWorkload {
     )
 }
 
+/// Recorded intervals over banks 0..4.
+fn recorded() -> impl Strategy<Value = Vec<Vec<TraceEvent>>> {
+    proptest::collection::vec(
+        proptest::collection::vec((0u32..4, 0u32..1024, any::<bool>()), 0..20),
+        1..20,
+    )
+    .prop_map(|raw| {
+        raw.into_iter()
+            .map(|batch| {
+                batch
+                    .into_iter()
+                    .map(|(bank, row, aggressor)| TraceEvent {
+                        bank: BankId(bank),
+                        row: RowAddr(row),
+                        aggressor,
+                    })
+                    .collect()
+            })
+            .collect()
+    })
+}
+
 fn attacker(kind_index: usize, banks: u32, intervals: u64) -> Attacker {
     let kind = match kind_index {
         0 => AttackKind::SingleSided {
@@ -109,8 +162,9 @@ proptest! {
     fn workload_shards_partition_the_stream(
         seed in any::<u64>(),
         banks in 1u32..=8,
+        target_events in 1usize..=256,
     ) {
-        assert_partition(&|| Box::new(workload(banks, 24, seed)), banks);
+        assert_partition(&|| Box::new(workload(banks, 24, seed)), banks, target_events);
     }
 
     /// Every attack pattern's shards partition its stream.
@@ -118,8 +172,9 @@ proptest! {
     fn attacker_shards_partition_the_stream(
         kind_index in 0usize..5,
         banks in 1u32..=6,
+        target_events in 1usize..=256,
     ) {
-        assert_partition(&|| Box::new(attacker(kind_index, banks, 32)), banks);
+        assert_partition(&|| Box::new(attacker(kind_index, banks, 32)), banks, target_events);
     }
 
     /// The mixed trace — workload plus attacker under a shared per-bank
@@ -131,6 +186,7 @@ proptest! {
         banks in 1u32..=6,
         kind_index in 0usize..5,
         cap in 8u32..48,
+        target_events in 1usize..=256,
     ) {
         assert_partition(
             &|| {
@@ -143,31 +199,54 @@ proptest! {
                 ))
             },
             banks,
+            target_events,
         );
     }
 
     /// Replayed traces shard by plain per-interval bank filtering.
     #[test]
     fn replay_shards_partition_the_stream(
-        raw in proptest::collection::vec(
-            proptest::collection::vec((0u32..4, 0u32..1024, any::<bool>()), 0..20),
-            1..20,
-        ),
+        intervals in recorded(),
+        target_events in 1usize..=64,
     ) {
-        let intervals: Vec<Vec<TraceEvent>> = raw
-            .into_iter()
-            .map(|batch| {
-                batch
-                    .into_iter()
-                    .map(|(bank, row, aggressor)| TraceEvent {
-                        bank: BankId(bank),
-                        row: RowAddr(row),
-                        aggressor,
-                    })
-                    .collect()
-            })
-            .collect();
-        assert_partition(&|| Box::new(ReplayTrace::new(intervals.clone())), 4);
+        assert_partition(&|| Box::new(ReplayTrace::new(intervals.clone())), 4, target_events);
+    }
+
+    /// Clones and shards of one recording share it: a shard of a clone,
+    /// a shard of a shard, and a shard of a partly consumed trace each
+    /// replay their bank from interval 0.
+    #[test]
+    fn replay_shards_of_clones_shards_and_consumed_traces(
+        intervals in recorded(),
+        consumed in 0usize..24,
+        target_events in 1usize..=64,
+    ) {
+        let trace = ReplayTrace::new(intervals);
+        // Every clone's shards come from the lanes the first one built.
+        assert_partition(&|| Box::new(trace.clone()), 4, target_events);
+        let mut partly = trace.clone();
+        let mut out = Vec::new();
+        for _ in 0..consumed {
+            partly.next_interval(&mut out);
+        }
+        for bank in (0..4).map(BankId) {
+            let shard = drain_both(&|| trace.bank_shard(bank), target_events);
+            assert_eq!(
+                drain_both(&|| trace.bank_shard(bank).bank_shard(bank), target_events),
+                shard,
+                "re-sharding bank {bank:?} changed its stream"
+            );
+            for other in (0..6).map(BankId).filter(|&other| other != bank) {
+                let idle = drain_both(&|| trace.bank_shard(bank).bank_shard(other), target_events);
+                assert_eq!(idle.len(), shard.len(), "{bank:?} shard's {other:?} shard lost ticks");
+                assert!(idle.iter().all(Vec::is_empty), "{bank:?} shard leaked into {other:?}");
+            }
+            assert_eq!(
+                drain_both(&|| partly.bank_shard(bank), target_events),
+                shard,
+                "bank {bank:?} shard taken after {consumed} intervals must start at interval 0"
+            );
+        }
     }
 }
 

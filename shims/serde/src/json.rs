@@ -191,11 +191,19 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// The deepest array/object nesting [`parse`] accepts, serde_json's
+/// default recursion limit.  The parser recurses once per level, so
+/// without a cap a hostile document could overflow the stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document.
+///
+/// Nesting deeper than 128 arrays and objects is an error.
 pub fn parse(input: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -209,6 +217,8 @@ pub fn parse(input: &str) -> Result<Value, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -264,8 +274,8 @@ impl<'a> Parser<'a> {
                 Ok(Value::Bool(false))
             }
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             other => Err(Error::new(format!(
                 "unexpected character {:?} at byte {}",
@@ -273,6 +283,20 @@ impl<'a> Parser<'a> {
                 self.pos
             ))),
         }
+    }
+
+    /// Parses one array or object with `parse`, one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -460,6 +484,18 @@ mod tests {
         let text = r#"{"a":[1,2,{"b":"x\ny","c":null}],"d":{"e":0.5}}"#;
         let v = parse(text).unwrap();
         assert_eq!(parse(&v.to_json_string()).unwrap(), v);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        // Objects count toward the same limit as arrays.
+        let mixed = format!("{}1{}", r#"{"a":["#.repeat(65), "]}".repeat(65));
+        assert!(parse(&mixed).is_err());
+        assert!(parse(&format!("{}1{}", r#"{"a":["#.repeat(64), "]}".repeat(64))).is_ok());
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! through its own mitigation instance and device on a worker pool — is
 //! *bit-identical* to the sequential run, for every technique and every
 //! worker count.  These tests pin that contract for all nine Table III
-//! techniques at 1, 2, and `available_parallelism` workers, and check
-//! the algebra ([`RunMetrics::merge`] associativity/commutativity) that
-//! makes merge order irrelevant.
+//! techniques at 1, 2, and `available_parallelism` workers, for live
+//! generators and for recorded traces replayed from one shared
+//! recording, and check the algebra ([`RunMetrics::merge`]
+//! associativity/commutativity) that makes merge order irrelevant.
 
-use dram_sim::{CycleStats, Geometry, RowAddr};
+use dram_sim::{BackendSpec, CycleStats, Geometry, RowAddr};
 use proptest::prelude::*;
 use tivapromi_suite::harness::{
     engine, techniques, ExperimentScale, NullObserver, Parallelism, RunConfig, RunMetrics, Runner,
@@ -16,7 +17,8 @@ use tivapromi_suite::harness::{
 };
 use tivapromi_suite::hwmodel::Technique;
 use tivapromi_suite::trace::{
-    AttackConfig, AttackKind, Attacker, MixedTrace, SpecLikeWorkload, WorkloadConfig,
+    AttackConfig, AttackKind, Attacker, MixedTrace, ReplayTrace, SpecLikeWorkload, TraceSource,
+    WorkloadConfig,
 };
 
 const BANKS: u32 = 8;
@@ -127,6 +129,88 @@ fn worker_count_zero_resolves_to_auto() {
         &parallel,
     );
     assert_eq!(seq, auto);
+}
+
+// --- Recorded traces -----------------------------------------------
+
+/// `mix(config, seed)`, recorded once.
+fn record(config: &RunConfig, seed: u64) -> ReplayTrace {
+    let mut live = mix(config, seed);
+    let mut intervals = Vec::new();
+    let mut events = Vec::new();
+    while live.next_interval(&mut events) {
+        intervals.push(std::mem::take(&mut events));
+    }
+    ReplayTrace::new(intervals)
+}
+
+/// Clones of one recording, sharded by bank over the lanes the first
+/// shard split off, replay exactly the live run: every technique, on
+/// the exact and cycle tiers, at 1, 2 and `available_parallelism`
+/// workers.
+#[test]
+fn sharded_replays_of_one_recording_match_the_live_run() {
+    let seed = 9;
+    let available = std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1);
+    for tier in [BackendSpec::Exact, BackendSpec::Cycle] {
+        let base = config()
+            .with_backend(tier)
+            .with_parallelism(Parallelism::sequential());
+        let recording = record(&base, seed);
+        for technique in Technique::TABLE3 {
+            let live = Runner::new(base.clone())
+                .technique(technique)
+                .seed(seed)
+                .run(mix(&base, seed));
+            for workers in [1, 2, available] {
+                let replayed = Runner::new(base.clone())
+                    .technique(technique)
+                    .seed(seed)
+                    .parallelism(Parallelism::with_workers(workers))
+                    .run(recording.clone());
+                assert_eq!(
+                    live, replayed,
+                    "{technique} on {tier} replayed at {workers} workers diverged"
+                );
+            }
+        }
+    }
+}
+
+/// Two clones of one fresh recording, released together on two
+/// threads, race to split its shared lanes; both runs must equal the
+/// live run.
+#[test]
+fn concurrent_replays_of_one_recording_agree() {
+    let seed = 4;
+    let config = config().with_parallelism(Parallelism::with_workers(2));
+    let start = std::sync::Barrier::new(2);
+    let run = |trace: ReplayTrace| {
+        let runner = Runner::new(config.clone())
+            .technique(Technique::LoLiPromi)
+            .seed(seed);
+        start.wait();
+        runner.run(trace)
+    };
+    let recording = record(&config, seed);
+    let (left, right) = (recording.clone(), recording);
+    let (a, b) = std::thread::scope(|scope| {
+        let a = scope.spawn(|| run(left));
+        let b = scope.spawn(|| run(right));
+        (
+            a.join().expect("left replay completes"),
+            b.join().expect("right replay completes"),
+        )
+    });
+    assert_eq!(a, b);
+    let sequential = config.clone().with_parallelism(Parallelism::sequential());
+    let live = Runner::new(sequential.clone())
+        .technique(Technique::LoLiPromi)
+        .seed(seed)
+        .run(mix(&sequential, seed));
+    assert_eq!(a, live);
 }
 
 // --- Observers must not perturb the engine --------------------------
