@@ -235,14 +235,6 @@ impl RunConfig {
         self
     }
 
-    /// Returns a copy with a different per-row weak-cell model (see
-    /// [`WeakCellSpec`]; `Uniform` is the classic single-threshold
-    /// device).
-    pub fn with_weak_cells(mut self, weak_cells: WeakCellSpec) -> Self {
-        self.weak_cells = weak_cells;
-        self
-    }
-
     /// Total refresh intervals of the run.
     pub fn intervals(&self) -> u64 {
         self.windows * u64::from(self.geometry.intervals_per_window())

@@ -176,6 +176,20 @@ pub fn render(results: &[AblationResult]) -> String {
     table.render()
 }
 
+/// Everything `rh ablation` prints: every sweep in one table.
+pub fn report(scale: &ExperimentScale) -> String {
+    let mut results = history_sweep(scale);
+    results.extend(p_base_sweep(scale));
+    results.extend(lock_threshold_sweep(scale));
+    results.extend(counter_table_sweep(scale));
+    results.extend(history_policy_sweep(scale));
+    format!(
+        "Ablations — design-choice sweeps (paper values: history 32,\n\
+         P_base 2^-23, counter table 64)\n\n{}",
+        render(&results)
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -137,6 +137,14 @@ pub fn render(results: &[SweepResult]) -> String {
     table.render()
 }
 
+/// Everything `rh aggressor-sweep` prints.
+pub fn report(scale: &ExperimentScale) -> String {
+    format!(
+        "Aggressor-count sweep — fixed k aggressors per bank, mixed workload\n\n{}",
+        render(&run(scale))
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

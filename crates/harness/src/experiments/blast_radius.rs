@@ -137,6 +137,15 @@ pub fn render(results: &[BlastRadiusResult]) -> String {
     table.render()
 }
 
+/// Everything `rh blast-radius` prints.
+pub fn report(scale: &ExperimentScale) -> String {
+    format!(
+        "Blast-radius study — distance-2 coupling under worst-phase flooding\n\
+         (`+d2` = act_n widened to ±2 via the WideNeighborhood adapter)\n\n{}",
+        render(&run(scale))
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

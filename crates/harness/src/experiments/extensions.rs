@@ -118,6 +118,11 @@ pub fn render(points: &[Fig4Point], validation: &[CacheValidationResult]) -> Str
     out
 }
 
+/// Everything `rh extensions` prints: both parts.
+pub fn report(scale: &ExperimentScale) -> String {
+    render(&extension_points(scale), &cache_validation(scale))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -148,6 +148,20 @@ pub fn shape_checks(points: &[Fig4Point]) -> Vec<(String, bool)> {
     checks
 }
 
+/// Everything `rh fig4` prints: the points, then each shape check.
+pub fn report(scale: &ExperimentScale) -> String {
+    let points = run(scale);
+    let checks: String = shape_checks(&points)
+        .into_iter()
+        .map(|(desc, ok)| format!("[{}] {desc}\n", if ok { "ok" } else { "MISS" }))
+        .collect();
+    format!(
+        "Fig. 4 — table size vs. activation overhead (log-log in the paper)\n\n{}\n\
+         shape checks:\n{checks}",
+        render(&points)
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -157,6 +157,15 @@ pub fn render(results: &[FloodingResult]) -> String {
     table.render()
 }
 
+/// Everything `rh flooding` prints.
+pub fn report(scale: &ExperimentScale) -> String {
+    format!(
+        "Flooding attack — worst-phase flood (attack starts right after the\n\
+         flooded row's refresh, where time-varying weights are smallest)\n\n{}",
+        render(&run(scale))
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

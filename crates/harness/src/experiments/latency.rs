@@ -190,6 +190,15 @@ pub fn render(results: &[LatencyResult]) -> String {
     table.render()
 }
 
+/// Everything `rh latency` prints.
+pub fn report(scale: &ExperimentScale) -> String {
+    format!(
+        "Demand latency — mixed trace through the cycle-level controller\n\
+         (background priority unless marked @urgent)\n\n{}",
+        render(&run(scale))
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -136,6 +136,21 @@ pub fn render(results: &[PolicyResult]) -> String {
     table.render()
 }
 
+/// Everything `rh refresh-policies` prints: the policy grid and each
+/// variant's [`policy_spread`].
+pub fn report(scale: &ExperimentScale) -> String {
+    let results = run(scale);
+    let spread: String = policy_spread(&results)
+        .into_iter()
+        .map(|(t, dev)| format!("  {t}: {:.1}%\n", dev * 100.0))
+        .collect();
+    format!(
+        "Refresh-policy robustness — TiVaPRoMi variants × 4 policies\n\n{}\n\
+         max overhead deviation vs. sequential baseline:\n{spread}",
+        render(&results)
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

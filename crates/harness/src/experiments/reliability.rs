@@ -87,6 +87,14 @@ pub fn render(results: &[ReliabilityResult]) -> String {
     table.render()
 }
 
+/// Everything `rh reliability` prints.
+pub fn report(scale: &ExperimentScale) -> String {
+    format!(
+        "Reliability — 1→20 aggressors per bank, mixed workload\n\n{}",
+        render(&run(scale))
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

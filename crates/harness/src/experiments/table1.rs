@@ -12,6 +12,15 @@ pub fn render(scale: &ExperimentScale) -> String {
     table.render()
 }
 
+/// Everything `rh table1` prints. The paper's Table I is the `full`
+/// scale.
+pub fn report(scale: &ExperimentScale) -> String {
+    format!(
+        "Table I — simulated system specifications\n\n{}",
+        render(scale)
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

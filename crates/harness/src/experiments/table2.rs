@@ -1,5 +1,6 @@
 //! Table II — FSM clock cycles per observed `act` and `ref` command.
 
+use crate::config::ExperimentScale;
 use crate::table::TextTable;
 use dram_sim::DramTiming;
 use rh_hwmodel::{fsm_cycles, reference, HwParams, Technique};
@@ -68,6 +69,20 @@ pub fn render(results: &[Table2Result]) -> String {
     table.row(act_row);
     table.row(ref_row);
     table.render()
+}
+
+/// Everything `rh table2` prints: the table and whether every cell
+/// equals the paper's. Table II depends on no scale.
+pub fn report(_scale: &ExperimentScale) -> String {
+    let results = run();
+    let exact = results
+        .iter()
+        .all(|r| r.act == r.paper_act && r.refresh == r.paper_refresh);
+    format!(
+        "Table II — clock cycles per FSM loop (DDR4, 1.2 GHz)\n\n{}\npaper agreement: {}\n",
+        render(&results),
+        if exact { "exact" } else { "deviations present" }
+    )
 }
 
 #[cfg(test)]

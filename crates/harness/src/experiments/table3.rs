@@ -101,6 +101,14 @@ pub fn render(results: &[Table3Result]) -> String {
     table.render()
 }
 
+/// Everything `rh table3` prints.
+pub fn report(scale: &ExperimentScale) -> String {
+    format!(
+        "Table III — comparison with state-of-the-art RH mitigation solutions\n\n{}",
+        render(&run(scale))
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -191,6 +191,17 @@ pub fn render_retune(results: &[RetuneResult]) -> String {
     table.render()
 }
 
+/// Everything `rh weak-dram` prints: the threshold sweep, then the
+/// LoPRoMi re-tuning table.
+pub fn report(scale: &ExperimentScale) -> String {
+    format!(
+        "Weak-DRAM study — paper-tuned mitigations on weaker devices\n\
+         (worst-phase flooding)\n\n{}\nLoPRoMi P_base re-tuning for 16 K DRAM:\n\n{}",
+        render(&run(scale)),
+        render_retune(&retune(scale))
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,6 +9,7 @@
 //! | Module | Reproduces |
 //! |---|---|
 //! | [`experiments::table1`] | Table I — simulated system specification |
+//! | [`experiments::trace_stats`] | Table I — synthetic trace calibration |
 //! | [`experiments::table2`] | Table II — FSM clock cycles |
 //! | [`experiments::fig4`] | Fig. 4 — table size vs. activation overhead |
 //! | [`experiments::table3`] | Table III — LUTs, vulnerability, overhead μ±σ, FPR |
@@ -18,9 +19,8 @@
 //! | [`experiments::vulnerability`] | Table III "Vulnerable" column evidence |
 //! | [`experiments::ablation`] | design-choice sweeps (history size, `P_base`, lock threshold) |
 //!
-//! Each experiment has a matching binary (`cargo run --release --bin
-//! fig4_tradeoff` etc.) and an `rh` subcommand (`rh all quick` runs
-//! every one).
+//! The `rh` binary runs them: `rh fig4 paper` prints one, `rh all quick`
+//! every one in [`experiments::ALL`], `rh list` names them.
 //!
 //! ## Example
 //!

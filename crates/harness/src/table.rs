@@ -1,4 +1,4 @@
-//! Minimal text-table rendering for the experiment binaries.
+//! Minimal text-table rendering for the experiment reports.
 
 /// A simple left-aligned text table.
 ///

@@ -38,7 +38,6 @@
 pub mod area;
 pub mod budget;
 pub mod cycles;
-pub mod energy;
 pub mod fsm;
 pub mod reference;
 pub mod spec;
@@ -46,7 +45,6 @@ pub mod spec;
 pub use area::{AreaBreakdown, Component};
 pub use budget::BudgetCheck;
 pub use cycles::{fsm_cycles, CyclePair};
-pub use energy::EnergyModel;
 pub use fsm::{CounterAssistedState, TimeVaryingState};
 pub use spec::{fig2_machine, fig3_machine, StateMachine};
 

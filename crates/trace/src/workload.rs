@@ -79,13 +79,6 @@ impl WorkloadConfig {
         self.mean_acts_per_interval = mean;
         self
     }
-
-    /// Returns a copy with different locality parameters (ablation).
-    pub fn with_locality(mut self, locality: f64, zipf_exponent: f64) -> Self {
-        self.locality = locality;
-        self.zipf_exponent = zipf_exponent;
-        self
-    }
 }
 
 /// Per-bank generator state: each bank owns its working set *and* its

@@ -24,7 +24,6 @@ fn core_types_are_send_sync() {
     assert_send_sync::<tiva::TivaConfig>();
     assert_send_sync::<tiva::HistoryTable>();
     assert_send_sync::<hwmodel::HwParams>();
-    assert_send_sync::<hwmodel::EnergyModel>();
     assert_send_sync::<harness::RunMetrics>();
     assert_send_sync::<harness::MeanStd>();
 }
@@ -51,10 +50,6 @@ fn defaults_match_paper_constructors() {
         dram::RefreshOrder::SequentialNeighbors
     );
     assert_eq!(hwmodel::HwParams::default(), hwmodel::HwParams::paper());
-    assert_eq!(
-        hwmodel::EnergyModel::default(),
-        hwmodel::EnergyModel::ddr4()
-    );
     assert_eq!(
         harness::ExperimentScale::default(),
         harness::ExperimentScale::paper_shape()
