@@ -248,7 +248,11 @@ fn victim_fires_merged(
         front.iter().position(|&r| r == victim).or_else(
             // Same index space as `queue.iter().position`: the back
             // slice continues where the front slice ends.
-            || back.iter().position(|&r| r == victim).map(|p| p + front.len()),
+            || {
+                back.iter()
+                    .position(|&r| r == victim)
+                    .map(|p| p + front.len())
+            },
         )
     } else {
         None

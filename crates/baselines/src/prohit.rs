@@ -155,7 +155,6 @@ impl ProHit {
     pub fn config(&self) -> &ProHitConfig {
         &self.config
     }
-
 }
 
 impl Mitigation for ProHit {

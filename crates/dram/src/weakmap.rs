@@ -162,8 +162,10 @@ impl WeakCellSpec {
                     let mut state = bank_seed(u64::from(threshold), BankId(bank));
                     for _ in 0..rows {
                         columns.push(
-                            u32::try_from(rand::splitmix64(&mut state) % u64::from(WEAK_CELL_COLUMNS))
-                                .expect("column fits u32"),
+                            u32::try_from(
+                                rand::splitmix64(&mut state) % u64::from(WEAK_CELL_COLUMNS),
+                            )
+                            .expect("column fits u32"),
                         );
                     }
                 }
@@ -207,7 +209,6 @@ impl WeakCellSpec {
         }
     }
 }
-
 
 impl std::fmt::Display for WeakCellSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -364,9 +365,7 @@ mod tests {
                 weak += 1;
             }
             assert_eq!(a.weak_rows(bank).len(), {
-                (0..256)
-                    .filter(|&r| a.is_weak(bank, RowAddr(r)))
-                    .count()
+                (0..256).filter(|&r| a.is_weak(bank, RowAddr(r))).count()
             });
         }
         // 512 rows at 100‰: expect ~51 weak rows; the seeded draw must
@@ -407,10 +406,9 @@ mod tests {
         }
         assert_eq!(WeakCellSpec::if_absent(), Some(WeakCellSpec::Uniform));
         assert_eq!(WeakCellSpec::default(), WeakCellSpec::Uniform);
-        assert!(WeakCellSpec::from_json_value(&serde::json::Value::Str(
-            "weak".to_string()
-        ))
-        .is_err());
+        assert!(
+            WeakCellSpec::from_json_value(&serde::json::Value::Str("weak".to_string())).is_err()
+        );
     }
 
     #[test]

@@ -4,20 +4,19 @@
 //! [`Fleet::run`] materializes one [`crate::DeviceSpec`] per global
 //! device index, decomposes each device into jobs (one per bank shard
 //! for multi-bank SPEC-like devices, one whole-device job otherwise)
-//! and drives them over a shared pool of workers through
-//! [`rh_harness::parallel::TwoLevelDispatcher`]: a worker finishes its
+//! and drives them over the harness's worker pool,
+//! [`rh_harness::parallel::run_in_order`]: a worker finishes its
 //! current device's shards before claiming a fresh device, and steals
 //! bank shards of in-flight devices only when no fresh device remains.
 //!
 //! Determinism: workers race, the *fold* does not.  Every job is a pure
-//! function of its device spec (seeded via [`crate::device_seed`]), a
-//! device's shards merge in bank order exactly as
-//! [`rh_harness::engine::run_sharded`] would, and the coordinator absorbs
-//! finished devices into per-cohort partials strictly in global device
-//! order through a reorder buffer.  The final report is therefore
-//! byte-identical at every worker count and schedule — and equal to
-//! replaying any single device through [`rh_harness::Runner`] with its
-//! derived seed.
+//! function of its device spec (seeded via [`crate::device_seed`]), the
+//! pool hands finished devices back strictly in global device order,
+//! and the fold merges a device's shards in bank order exactly as
+//! [`rh_harness::engine::run_sharded`] would before absorbing it into
+//! its cohort's partial.  The final report is therefore byte-identical
+//! at every worker count and schedule — and equal to replaying any
+//! single device through [`rh_harness::Runner`] with its derived seed.
 
 use crate::checkpoint::{Checkpoint, CohortPartial};
 use crate::cohort::{CampaignSpec, DeviceSpec, WorkloadKind};
@@ -25,11 +24,8 @@ use crate::report::FleetReport;
 use dram_sim::{BankId, Geometry};
 use mem_trace::cpu::{CpuWorkload, CpuWorkloadConfig};
 use mem_trace::{ShardError, TraceSource, TraceSplit};
-use rh_harness::parallel::{TwoLevelDispatcher, WorkerCursor};
-use rh_harness::{engine, scenario, techniques, NullObserver};
-use rh_harness::{ExperimentScale, Parallelism, RunConfig, RunMetrics, Runner};
-use std::collections::BTreeMap;
-use std::sync::mpsc;
+use rh_harness::{engine, parallel, scenario, techniques, NullObserver};
+use rh_harness::{ExperimentScale, RunConfig, RunMetrics, Runner};
 
 /// Why a campaign cannot run (all caught before any device starts).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -290,13 +286,9 @@ impl Fleet {
             .collect()
     }
 
-    fn effective_workers(&self) -> usize {
-        Parallelism::with_workers(self.workers).effective_workers()
-    }
-
     /// Runs devices `[start, end)` over the worker pool, folding each
     /// finished device into `partials` (and `sink`) in global device
-    /// order via a reorder buffer.
+    /// order.
     fn execute(
         &self,
         start: u64,
@@ -304,9 +296,6 @@ impl Fleet {
         partials: &mut [CohortPartial],
         sink: &mut dyn FnMut(&DeviceSpec, &RunMetrics),
     ) {
-        if start >= end {
-            return;
-        }
         let devices: Vec<DeviceSpec> = (start..end)
             .map(|i| {
                 self.spec
@@ -315,56 +304,22 @@ impl Fleet {
             })
             .collect();
         let job_counts: Vec<usize> = devices.iter().map(device_jobs).collect();
-        let total_jobs: usize = job_counts.iter().sum();
-        let dispatcher = TwoLevelDispatcher::new(job_counts.clone());
-        let workers = self.effective_workers().max(1);
-        let (tx, rx) = mpsc::channel();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let dispatcher = &dispatcher;
-                let devices = &devices;
-                scope.spawn(move || {
-                    let mut cursor = WorkerCursor::new();
-                    while let Some((d, j)) = dispatcher.claim(&mut cursor) {
-                        let metrics = run_device_job(&devices[d], j);
-                        tx.send((d, j, metrics))
-                            .expect("coordinator outlives workers");
-                    }
-                });
-            }
-            drop(tx);
-            // The coordinator: collect shard metrics per device, merge
-            // a completed device's shards in bank order (mirroring
-            // `engine::run_sharded`), then release devices to the fold
-            // strictly in device order.
-            let mut parts: Vec<Vec<Option<RunMetrics>>> =
-                job_counts.iter().map(|&c| vec![None; c]).collect();
-            let mut remaining = job_counts.clone();
-            let mut reorder: BTreeMap<usize, RunMetrics> = BTreeMap::new();
-            let mut next = 0usize;
-            for _ in 0..total_jobs {
-                let (d, j, metrics) = rx.recv().expect("a worker thread panicked");
-                assert!(parts[d][j].is_none(), "job ({d}, {j}) delivered twice");
-                parts[d][j] = Some(metrics);
-                remaining[d] -= 1;
-                if remaining[d] == 0 {
-                    let merged = parts[d]
-                        .drain(..)
-                        .map(|m| m.expect("counted down to zero"))
-                        .reduce(RunMetrics::merge)
-                        .expect("every device has at least one job");
-                    reorder.insert(d, merged);
-                    while let Some(done) = reorder.remove(&next) {
-                        let device = &devices[next];
-                        sink(device, &done);
-                        partials[device.cohort].absorb(&done);
-                        next += 1;
-                    }
-                }
-            }
-            assert_eq!(next, devices.len(), "reorder buffer drained");
-        });
+        parallel::run_in_order(
+            &job_counts,
+            self.workers,
+            |d, j| run_device_job(&devices[d], j),
+            |d, shards| {
+                // Merge the device's shards in bank order, mirroring
+                // `engine::run_sharded`.
+                let merged = shards
+                    .into_iter()
+                    .reduce(RunMetrics::merge)
+                    .expect("every device has at least one job");
+                let device = &devices[d];
+                sink(device, &merged);
+                partials[device.cohort].absorb(&merged);
+            },
+        );
     }
 }
 

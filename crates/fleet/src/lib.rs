@@ -14,12 +14,12 @@
 //!   [`device_seed`]`(campaign_seed, index)` alone, so any device is
 //!   reproducible in isolation with the existing
 //!   [`rh_harness::Runner`].
-//! * [`Fleet`] — the campaign engine: a two-level work-stealing
-//!   scheduler ([`rh_harness::parallel::TwoLevelDispatcher`]) hands
+//! * [`Fleet`] — the campaign engine: the harness's two-level
+//!   work-stealing pool ([`rh_harness::parallel::run_in_order`]) hands
 //!   workers whole devices first and individual bank shards second,
-//!   while a streaming coordinator folds finished devices into
-//!   per-cohort aggregates *in device order*, so the report is
-//!   byte-identical at every worker count.
+//!   and hands finished devices back *in device order* to a streaming
+//!   fold into per-cohort aggregates, so the report is byte-identical
+//!   at every worker count.
 //! * [`QuantileSketch`] — deterministic mergeable log-bucket sketch
 //!   for time-to-first-flip and flips-per-mega-activation population
 //!   distributions.

@@ -51,8 +51,8 @@ impl ExperimentScale {
         }
     }
 
-    /// Parses a scale name (`quick` / `paper` / `full`) as used by the
-    /// experiment binaries' first CLI argument.
+    /// Parses a scale name (`quick` / `paper` / `full`), the scale
+    /// argument of `rh`, `export` and `timeline`.
     pub fn from_name(name: &str) -> Option<Self> {
         match name {
             "quick" => Some(ExperimentScale::quick()),
@@ -62,9 +62,9 @@ impl ExperimentScale {
         }
     }
 
-    /// Parses an experiment binary's optional scale argument: no
-    /// argument is the paper scale; an unknown name is an error, never
-    /// a silent fallback to a multi-minute default.
+    /// Parses the optional scale argument of `rh`, `export` or
+    /// `timeline`: no argument is the paper scale; an unknown name is an
+    /// error, never a silent fallback to a multi-minute default.
     pub fn from_arg(arg: Option<&str>) -> Result<Self, UnknownScale> {
         match arg {
             None => Ok(ExperimentScale::paper_shape()),

@@ -36,11 +36,12 @@
 //! suspected aggressor for `act_n`, the victim for `RefreshRow`) is not,
 //! respectively adjacent to, an attacker-hammered row.
 //!
-//! Every entrypoint has an *observed* variant threading an
-//! [`Observer`]/[`Observe`] through the loop (see [`crate::observe`]);
-//! the unobserved functions are monomorphised over
-//! [`crate::observe::NullObserver`], whose empty inline callbacks
-//! compile away, so the no-observer path costs nothing.  The mitigation
+//! [`run_observed`] threads an [`Observer`] through the loop, and
+//! [`run_sharded`], the sharded entrypoint, takes an optional
+//! [`Observe`] strategy (see [`crate::observe`]); unobserved, both run
+//! the loop monomorphised over [`crate::observe::NullObserver`], whose
+//! empty inline callbacks compile away, so the no-observer path costs
+//! nothing.  The mitigation
 //! is a generic parameter: built as [`rh_baselines::AnyMitigation`]
 //! (see [`crate::techniques::build_any`]) the per-event inner loop is a
 //! `match`, not a vtable call — one dynamic-free dispatch per interval
@@ -517,26 +518,38 @@ fn finish_metrics<M: Mitigation + ?Sized, B: DisturbanceBackend + ?Sized, O: Obs
 }
 
 /// Runs `trace` through the mitigation that `build` constructs, sharded
-/// by bank when `config.parallelism` allows it.
+/// by bank when `config.parallelism` allows it, with an optional
+/// [`Observe`] strategy attached.
 ///
-/// This is the unobserved sharded entrypoint ([`crate::Runner::run`]
-/// lands here when no observers are attached): the engine loop stays
-/// monomorphised over [`NullObserver`], so it is exactly as fast as an
-/// engine without observability hooks.
-///
-/// With `shard_by_bank` (and more than one bank) each bank's sub-stream
-/// ([`TraceSplit::bank_shard`]) is driven through its *own* mitigation
-/// instance and backend on a worker pool, and the per-shard
-/// [`RunMetrics`] are combined with [`RunMetrics::merge`].  Because
+/// This is the engine's one sharded entrypoint; [`crate::Runner::run`]
+/// lands here.  With `shard_by_bank` (and more than one bank) each
+/// bank's sub-stream ([`TraceSplit::bank_shard`]) is driven through its
+/// *own* mitigation instance and backend on the worker pool
+/// ([`crate::parallel::map_workers`]), and the per-shard [`RunMetrics`]
+/// are combined in bank order with [`RunMetrics::merge`].  Because
 /// banks are independent — disturbance never couples them on any
 /// backend tier and every mitigation derives per-bank decision streams
 /// via [`dram_sim::bank_seed`] — the merged result is bit-identical to
 /// the sequential run, for every worker count and schedule.
 ///
+/// With `observe`, one [`Observer`] is forked per bank shard (or one for
+/// the whole run on the sequential path), and shard and run completions
+/// are reported with wall-clock timings.  Deterministic observers
+/// ([`crate::TimeSeriesRecorder`]) leave the merged metrics
+/// bit-identical to the sequential run at every worker count;
+/// timing-based ones ([`crate::PerfCounters`]) keep their readings
+/// outside the metrics.  Without one, the engine loop stays
+/// monomorphised over [`NullObserver`] and no clock is read, so the run
+/// is exactly as fast as an engine without observability hooks.
+///
 /// `build` must construct the mitigation identically on every call
-/// (same technique, same seed); it is called once per bank shard, plus
-/// once for the sequential fallback.
-pub fn run_sharded<S, M, F>(trace: S, build: &F, config: &RunConfig) -> RunMetrics
+/// (same technique, same seed); it is called once per shard.
+pub fn run_sharded<S, M, F>(
+    trace: S,
+    build: &F,
+    config: &RunConfig,
+    observe: Option<&dyn Observe>,
+) -> RunMetrics
 where
     S: TraceSplit,
     M: Mitigation,
@@ -544,62 +557,10 @@ where
 {
     let banks = config.geometry.banks();
     if !config.parallelism.shard_by_bank || banks <= 1 {
-        let mut mitigation = build();
-        return run_observed(trace, &mut mitigation, config, &mut NullObserver);
+        return run_whole(trace, build, config, observe);
     }
-    let shards: Vec<Box<dyn TraceSplit>> =
-        (0..banks).map(|b| trace.bank_shard(BankId(b))).collect();
     let workers = config.parallelism.effective_workers();
-    let results = crate::parallel::map_workers(shards, workers, |shard| {
-        let mut mitigation = build();
-        run_observed(shard, &mut mitigation, config, &mut NullObserver)
-    });
-    results
-        .into_iter()
-        .reduce(RunMetrics::merge)
-        .expect("geometry has at least one bank")
-}
-
-/// Like [`run_sharded`], with an [`Observe`] strategy attached: one
-/// [`Observer`] is forked per bank shard (or one for the whole run on
-/// the sequential path), and shard/run completions are reported with
-/// wall-clock timings.
-///
-/// Deterministic observers ([`crate::TimeSeriesRecorder`]) leave the
-/// merged [`RunMetrics`] bit-identical to the sequential run at every
-/// worker count; timing-based ones ([`crate::PerfCounters`]) keep their
-/// non-deterministic readings outside the metrics.
-pub fn run_with_observed<S, M, F>(
-    trace: S,
-    build: &F,
-    config: &RunConfig,
-    observe: &dyn Observe,
-) -> RunMetrics
-where
-    S: TraceSplit,
-    M: Mitigation,
-    F: Fn() -> M + Sync,
-{
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "wall times here feed only Observe callbacks (PerfCounters-style diagnostics), never RunMetrics"
-    )]
-    let start = Instant::now();
-    let banks = config.geometry.banks();
-    let (metrics, workers, shard_count) = if !config.parallelism.shard_by_bank || banks <= 1 {
-        let shard = ShardInfo::whole_run();
-        observe.on_shard_start(&shard);
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "shard wall time goes to Observe::on_shard_finish only"
-        )]
-        let shard_start = Instant::now();
-        let mut observer = observe.observer(&shard);
-        let mut mitigation = build();
-        let metrics = run_observed(trace, &mut mitigation, config, observer.as_mut());
-        observe.on_shard_finish(&shard, &metrics, shard_start.elapsed());
-        (metrics, 1, 1)
-    } else {
+    timed_run(observe, workers, banks as usize, || {
         let shards: Vec<(ShardInfo, Box<dyn TraceSplit>)> = (0..banks)
             .map(|b| {
                 let info = ShardInfo {
@@ -610,31 +571,85 @@ where
                 (info, trace.bank_shard(BankId(b)))
             })
             .collect();
-        let workers = config.parallelism.effective_workers();
-        let results = crate::parallel::map_workers(shards, workers, |(info, shard)| {
-            observe.on_shard_start(&info);
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "shard wall time goes to Observe::on_shard_finish only"
-            )]
-            let shard_start = Instant::now();
-            let mut observer = observe.observer(&info);
-            let mut mitigation = build();
-            let metrics = run_observed(shard, &mut mitigation, config, observer.as_mut());
-            observe.on_shard_finish(&info, &metrics, shard_start.elapsed());
-            metrics
-        });
-        let merged = results
-            .into_iter()
-            .reduce(RunMetrics::merge)
-            .expect("geometry has at least one bank");
-        (merged, workers, banks as usize)
+        crate::parallel::map_workers(shards, workers, |(info, shard)| {
+            run_shard(shard, build, config, observe, &info)
+        })
+        .into_iter()
+        .reduce(RunMetrics::merge)
+        .expect("geometry has at least one bank")
+    })
+}
+
+/// The unsharded path of [`run_sharded`], open to any [`TraceSource`]
+/// (including unshardable ones, for [`crate::Runner::run_sequential`]):
+/// the whole run is one shard.
+pub(crate) fn run_whole<S, M, F>(
+    trace: S,
+    build: &F,
+    config: &RunConfig,
+    observe: Option<&dyn Observe>,
+) -> RunMetrics
+where
+    S: TraceSource,
+    M: Mitigation,
+    F: Fn() -> M,
+{
+    timed_run(observe, 1, 1, || {
+        run_shard(trace, build, config, observe, &ShardInfo::whole_run())
+    })
+}
+
+/// Runs one shard (or the whole run) on a freshly built mitigation,
+/// forking `observe`'s observer for it and reporting its wall time.
+fn run_shard<S, M, F>(
+    trace: S,
+    build: &F,
+    config: &RunConfig,
+    observe: Option<&dyn Observe>,
+    shard: &ShardInfo,
+) -> RunMetrics
+where
+    S: TraceSource,
+    M: Mitigation,
+    F: Fn() -> M,
+{
+    let mut mitigation = build();
+    let Some(observe) = observe else {
+        return run_observed(trace, &mut mitigation, config, &mut NullObserver);
     };
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "shard wall time goes to Observe::on_shard_finish only"
+    )]
+    let start = Instant::now();
+    let mut observer = observe.observer(shard);
+    let metrics = run_observed(trace, &mut mitigation, config, observer.as_mut());
+    observe.on_shard_finish(shard, &metrics, start.elapsed());
+    metrics
+}
+
+/// Runs `run` and, when observed, reports its result and wall time to
+/// [`Observe::on_run_end`]; unobserved, no clock is read.
+fn timed_run(
+    observe: Option<&dyn Observe>,
+    workers: usize,
+    shards: usize,
+    run: impl FnOnce() -> RunMetrics,
+) -> RunMetrics {
+    let Some(observe) = observe else {
+        return run();
+    };
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall times here feed only Observe callbacks (PerfCounters-style diagnostics), never RunMetrics"
+    )]
+    let start = Instant::now();
+    let metrics = run();
     observe.on_run_end(
         &metrics,
         &RunSummary {
             workers,
-            shards: shard_count,
+            shards,
             elapsed: start.elapsed(),
         },
     );
@@ -798,7 +813,8 @@ mod tests {
         let config = quick_config();
         let trace = scenario::paper_mix(&config, 3);
         let build = |seed: u64| move || techniques::build(Technique::Para, &quick_config(), seed);
-        let metrics = run_with_observed(trace, &build(3), &config, &TimeSeriesRecorder::new(64));
+        let recorder = TimeSeriesRecorder::new(64);
+        let metrics = run_sharded(trace, &build(3), &config, Some(&recorder));
         let series = metrics.timeseries.as_ref().expect("recorder attached");
         assert_eq!(series.stride, 64);
         let last = series.points.last().expect("nonempty run");

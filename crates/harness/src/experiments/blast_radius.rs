@@ -78,7 +78,7 @@ pub fn run(scale: &ExperimentScale) -> Vec<BlastRadiusResult> {
         let mut config = base.clone();
         config.distance2_sixteenths = d2;
         let trace = scenario::flooding(&config, RowAddr(100));
-        let metrics = engine::run_sharded(trace, &|| build(t, &config, seed, wide), &config);
+        let metrics = engine::run_sharded(trace, &|| build(t, &config, seed, wide), &config, None);
         (t, d2, wide, metrics)
     });
 

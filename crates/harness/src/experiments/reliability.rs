@@ -56,7 +56,7 @@ pub fn run(scale: &ExperimentScale) -> Vec<ReliabilityResult> {
                 Some(t) => techniques::build(t, &config, 1),
             }
         };
-        let metrics = engine::run_sharded(trace, &build, &config);
+        let metrics = engine::run_sharded(trace, &build, &config, None);
         ReliabilityResult {
             technique: metrics.technique.clone(),
             flips: metrics.flips,

@@ -24,11 +24,12 @@
 //!   utilization of the parallel engine, rendered as a
 //!   [`crate::TextTable`].
 //!
-//! The no-observer path stays zero-cost: [`crate::engine::run_sharded`]
-//! monomorphises the engine loop over [`NullObserver`], whose empty
-//! inline callbacks compile away.  Observers only pay dynamic dispatch
-//! when one is actually attached (via [`crate::Runner::observer`] or
-//! [`crate::engine::run_with_observed`]).
+//! The no-observer path stays zero-cost: unobserved,
+//! [`crate::engine::run_sharded`] monomorphises the engine loop over
+//! [`NullObserver`], whose empty inline callbacks compile away, and
+//! reads no clock.  Observers only pay dynamic dispatch when one is
+//! actually attached (via [`crate::Runner::observer`] or the `observe`
+//! argument of [`crate::engine::run_sharded`]).
 
 use crate::metrics::{RunMetrics, TimePoint, TimeSeries};
 use crate::table::TextTable;
@@ -184,11 +185,6 @@ pub trait Observe: Send + Sync {
     /// run, when `shard.bank` is `None`).
     fn observer(&self, shard: &ShardInfo) -> Box<dyn Observer>;
 
-    /// A shard is about to run (called on the worker thread).
-    fn on_shard_start(&self, shard: &ShardInfo) {
-        let _ = shard;
-    }
-
     /// A shard finished in `elapsed` with the given per-shard metrics.
     fn on_shard_finish(&self, shard: &ShardInfo, metrics: &RunMetrics, elapsed: Duration) {
         let _ = (shard, metrics, elapsed);
@@ -208,11 +204,6 @@ impl Observe for &[Box<dyn Observe>] {
             _ => Box::new(FanoutObserver(
                 self.iter().map(|o| o.observer(shard)).collect(),
             )),
-        }
-    }
-    fn on_shard_start(&self, shard: &ShardInfo) {
-        for o in self.iter() {
-            o.on_shard_start(shard);
         }
     }
     fn on_shard_finish(&self, shard: &ShardInfo, metrics: &RunMetrics, elapsed: Duration) {

@@ -1,20 +1,21 @@
-//! Thread-pool helper for multi-seed sweeps and bank-sharded runs.
+//! The worker pool behind multi-seed sweeps, bank-sharded runs and
+//! fleet campaigns.
 //!
 //! The simulator itself is single-threaded per run; the harness
-//! parallelises across independent jobs — (technique, seed) sweeps and
-//! per-bank shards — with plain `std::thread` scoped threads, so no
-//! extra dependencies are needed.
+//! parallelises across independent jobs — (technique, seed) sweeps,
+//! per-bank shards and fleet devices — with plain `std::thread` scoped
+//! threads, so no extra dependencies are needed.
 //!
-//! Work is handed out by a lock-free [`Dispatcher`]: workers claim
-//! contiguous chunks of the input with a single `fetch_add` on an atomic
-//! cursor, so the hot path takes no lock and jobs are claimed in FIFO
-//! (input) order.  Each output is written into its input's slot, so the
-//! result order always matches the input order regardless of scheduling.
+//! There is one pool, [`run_in_order`].  Its jobs are grouped into
+//! *devices*: workers claim `(device, job)` pairs from a lock-free
+//! [`TwoLevelDispatcher`], and the calling thread hands each device's
+//! results, in job order, to a callback strictly in device order — so
+//! whatever the schedule, the caller folds results in one canonical
+//! order.  [`map_workers`] and [`map`] are its one-device case: one
+//! device whose jobs are the inputs, handed over once, in input order.
 
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Mutex};
 
 /// The number of worker threads [`map`] uses: the `RH_WORKERS`
 /// environment variable if [`parse_workers`] accepts it, otherwise
@@ -32,106 +33,6 @@ pub fn available_workers() -> usize {
 /// give `None`, which means auto-detect.
 pub fn parse_workers(value: Option<&str>) -> Option<usize> {
     value?.trim().parse().ok().filter(|&n| n > 0)
-}
-
-/// Hands out `0..len` in contiguous chunks, in ascending (FIFO) order.
-///
-/// Claiming is a single `fetch_add`, so concurrent workers never block
-/// each other and every index is claimed exactly once.
-#[derive(Debug)]
-pub struct Dispatcher {
-    cursor: AtomicUsize,
-    len: usize,
-    chunk: usize,
-}
-
-impl Dispatcher {
-    /// A dispatcher over `len` jobs for `workers` threads.
-    ///
-    /// The chunk size balances claim overhead against load balance:
-    /// several chunks per worker, but at least one job per claim.
-    pub fn new(len: usize, workers: usize) -> Self {
-        Dispatcher {
-            cursor: AtomicUsize::new(0),
-            len,
-            chunk: (len / workers.max(1) / 4).max(1),
-        }
-    }
-
-    /// Claims the next chunk of job indices, or `None` when exhausted.
-    ///
-    /// Memory-ordering audit: `Relaxed` is sufficient, not an
-    /// optimisation gamble.  Claim uniqueness needs only the
-    /// *atomicity* of the read-modify-write — all RMWs on one atomic
-    /// observe a single total modification order, so no two workers
-    /// can ever receive overlapping ranges, at any ordering.  The
-    /// cursor orders no other memory: job inputs are populated before
-    /// `thread::scope` spawns the workers (spawn synchronizes-with
-    /// thread start) and result slots are read only after the scope
-    /// joins them (termination synchronizes-with join), so those are
-    /// the happens-before edges the data rides on, and the model
-    /// checker in `tests/model_check.rs` exhaustively verifies the
-    /// claim/merge algebra under every interleaving.
-    pub fn claim(&self) -> Option<Range<usize>> {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "Relaxed: the RMW total order alone makes claims disjoint; scope spawn/join carry the data edges"
-        )]
-        let start = self.cursor.fetch_add(self.chunk, Ordering::Relaxed);
-        if start >= self.len {
-            return None;
-        }
-        Some(start..(start + self.chunk).min(self.len))
-    }
-}
-
-/// A result slot array writable from multiple workers.
-///
-/// SAFETY argument: the dispatcher hands every index to exactly one
-/// worker (a `fetch_add` cursor never returns overlapping ranges), so at
-/// most one thread ever touches a given slot, and the scope joins all
-/// workers before the slots are read.
-struct Slots<T>(Vec<UnsafeCell<MaybeUninit<T>>>);
-
-// SAFETY: the dispatcher hands each index to exactly one worker, so
-// slot access is exclusive; see the struct-level argument.
-unsafe impl<T: Send> Sync for Slots<T> {}
-
-impl<T> Slots<T> {
-    fn new(len: usize) -> Self {
-        Slots(
-            (0..len)
-                .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-                .collect(),
-        )
-    }
-
-    /// Writes `value` into slot `index`.
-    ///
-    /// # Safety
-    ///
-    /// `index` must be claimed from the dispatcher by the calling worker
-    /// (exclusive access), and written at most once.
-    unsafe fn write(&self, index: usize, value: T) {
-        // SAFETY: the caller holds the dispatcher claim for `index`, so
-        // the cell is never aliased.
-        unsafe { (*self.0[index].get()).write(value) };
-    }
-
-    /// Consumes the slots.
-    ///
-    /// # Safety
-    ///
-    /// Every slot must have been written exactly once, and all writers
-    /// joined.
-    unsafe fn into_vec(self) -> Vec<T> {
-        self.0
-            .into_iter()
-            // SAFETY: per the fn contract each cell was written exactly
-            // once, so `assume_init` is sound.
-            .map(|cell| unsafe { cell.into_inner().assume_init() })
-            .collect()
-    }
 }
 
 /// Worker-local cursor state for [`TwoLevelDispatcher`]: the device the
@@ -157,10 +58,10 @@ impl WorkerCursor {
     }
 }
 
-/// The two-level work-stealing scheduler behind fleet campaigns: an
+/// The two-level work-stealing scheduler behind [`run_in_order`]: an
 /// outer FIFO cursor hands whole *devices* to workers, and each device
-/// has an inner cursor handing out its *jobs* (bank shards, or the one
-/// whole-device job of an unshardable trace).
+/// has an inner cursor handing out its *jobs* (a fleet device's bank
+/// shards, or the inputs of a one-device [`map_workers`] call).
 ///
 /// Claim protocol, per [`TwoLevelDispatcher::claim`] call:
 ///
@@ -174,15 +75,16 @@ impl WorkerCursor {
 ///    devices in ascending order and steal leftover jobs directly
 ///    from their inner cursors, so the tail of a campaign (a few big
 ///    devices still in flight) is finished by every idle worker
-///    instead of serialising on the owners.
+///    instead of serialising on the owners.  With one device this is
+///    how every worker but the owner takes its jobs.
 ///
 /// Every job index is handed out by exactly one inner `fetch_add`, so
-/// — exactly as for [`Dispatcher`] — claim uniqueness needs only RMW
-/// atomicity, at any memory ordering, whether the claimer is the
-/// device's owner or a thief.  The two-level model check in
-/// `tests/model_check.rs` verifies the protocol (device-claim
-/// uniqueness, job exclusivity, merge independence) under every
-/// interleaving of 2–3 workers, including the steal phase.
+/// claim uniqueness needs only RMW atomicity, at any memory ordering,
+/// whether the claimer is the device's owner or a thief.  The model
+/// check in `tests/model_check.rs` verifies the protocol (device-claim
+/// uniqueness, job exclusivity, in-order release) under every
+/// interleaving of 2–3 workers, including the steal phase and the
+/// one-device shapes.
 #[derive(Debug)]
 pub struct TwoLevelDispatcher {
     /// Outer cursor: next unowned device.
@@ -211,10 +113,17 @@ impl TwoLevelDispatcher {
 
     /// Claims one job of `device`, or `None` when its jobs are gone.
     ///
-    /// Memory-ordering audit: as in [`Dispatcher::claim`], uniqueness
-    /// rides on the RMW total modification order alone; job inputs are
-    /// published before `thread::scope` spawns the workers and results
-    /// are read after it joins them, so those edges carry the data.
+    /// Memory-ordering audit: `Relaxed` is sufficient, not an
+    /// optimisation gamble.  Claim uniqueness needs only the
+    /// *atomicity* of the read-modify-write — all RMWs on one atomic
+    /// observe a single total modification order, so no two workers can
+    /// ever receive the same job index, at any ordering.  The cursors
+    /// order no other memory: [`run_in_order`]'s job inputs are
+    /// published before `thread::scope` spawns the workers (spawn
+    /// synchronizes-with thread start), and each result travels through
+    /// a `Mutex` slot the worker unlocks before it reports the job done
+    /// over a channel, so those are the happens-before edges the data
+    /// rides on.
     fn claim_job(&self, device: usize) -> Option<(usize, usize)> {
         #[expect(
             clippy::disallowed_methods,
@@ -259,9 +168,132 @@ impl TwoLevelDispatcher {
     }
 }
 
+/// Runs `job(device, index)` for every job of every device on up to
+/// `workers` threads, and hands each device's results, in job order, to
+/// `on_device` on the calling thread, strictly in device order.
+///
+/// Device `d` has `job_counts[d]` jobs; a device without jobs is handed
+/// over, with no results, in its turn.  Workers claim jobs from a
+/// [`TwoLevelDispatcher`], so a device that finishes early waits until
+/// every device before it has been handed over.  `on_device` thus sees
+/// the same calls at every worker count and schedule, and can fold
+/// results while later devices are still running.
+///
+/// `workers == 0` means [`available_workers`].  With one worker (or one
+/// job) everything runs inline on the calling thread.  A panicking job
+/// panics the caller.
+///
+/// ```
+/// use rh_harness::parallel::run_in_order;
+/// let mut sums = Vec::new();
+/// run_in_order(&[2, 0, 3], 2, |device, job| 10 * device + job, |device, results| {
+///     sums.push((device, results.iter().sum::<usize>()));
+/// });
+/// assert_eq!(sums, vec![(0, 1), (1, 0), (2, 63)]);
+/// ```
+pub fn run_in_order<O, F, G>(job_counts: &[usize], workers: usize, job: F, mut on_device: G)
+where
+    O: Send,
+    F: Fn(usize, usize) -> O + Sync,
+    G: FnMut(usize, Vec<O>),
+{
+    // One result slot per job, grouped by device.
+    let slots: Vec<Vec<Mutex<Option<O>>>> = job_counts
+        .iter()
+        .map(|&jobs| (0..jobs).map(|_| Mutex::new(None)).collect())
+        .collect();
+    run_in_order_erased(
+        job_counts,
+        workers,
+        &|device, index| {
+            let result = job(device, index);
+            *slots[device][index].lock().expect("result slot") = Some(result);
+        },
+        &mut |device| {
+            let results = slots[device]
+                .iter()
+                .map(|slot| {
+                    slot.lock()
+                        .expect("result slot")
+                        .take()
+                        .expect("every job of a handed-over device has run")
+                })
+                .collect();
+            on_device(device, results);
+        },
+    );
+}
+
+/// The pool behind [`run_in_order`], kept free of the result type so
+/// every caller shares one copy of it: `job` runs one job and stores its
+/// result, and `release` is called once per device, in device order,
+/// after all of that device's jobs have run.
+fn run_in_order_erased(
+    job_counts: &[usize],
+    workers: usize,
+    job: &(dyn Fn(usize, usize) + Sync),
+    release: &mut dyn FnMut(usize),
+) {
+    let total: usize = job_counts.iter().sum();
+    let workers = if workers == 0 {
+        available_workers()
+    } else {
+        workers
+    }
+    .min(total);
+    if workers <= 1 {
+        for (device, &jobs) in job_counts.iter().enumerate() {
+            for index in 0..jobs {
+                job(device, index);
+            }
+            release(device);
+        }
+        return;
+    }
+
+    let dispatcher = TwoLevelDispatcher::new(job_counts.to_vec());
+    let mut remaining = job_counts.to_vec();
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            let done_tx = done_tx.clone();
+            let dispatcher = &dispatcher;
+            scope.spawn(move || {
+                let mut cursor = WorkerCursor::new();
+                while let Some((device, index)) = dispatcher.claim(&mut cursor) {
+                    job(device, index);
+                    done_tx
+                        .send(device)
+                        .expect("the receiver outlives the workers");
+                }
+            });
+        }
+        drop(done_tx);
+        // Hand devices over in device order as their last jobs report
+        // in; a device that finishes early waits for those before it.
+        let mut next = 0;
+        loop {
+            while next < remaining.len() && remaining[next] == 0 {
+                release(next);
+                next += 1;
+            }
+            if next == remaining.len() {
+                break;
+            }
+            // Every worker gone with jobs outstanding means one of them
+            // panicked; the scope re-raises that panic on return.
+            let Ok(device) = done_rx.recv() else {
+                break;
+            };
+            remaining[device] -= 1;
+        }
+    });
+}
+
 /// Maps `f` over `inputs` on up to `workers` threads, preserving input
 /// order in the output.  Jobs are dispatched in FIFO (input) order.
 ///
+/// This is [`run_in_order`] over one device whose jobs are the inputs.
 /// `workers == 0` means [`available_workers`].  With one worker (or one
 /// input) the map runs inline on the calling thread.
 pub fn map_workers<I, O, F>(inputs: Vec<I>, workers: usize, f: F) -> Vec<O>
@@ -270,63 +302,25 @@ where
     O: Send,
     F: Fn(I) -> O + Sync,
 {
-    let workers = if workers == 0 {
-        available_workers()
-    } else {
-        workers
-    }
-    .min(inputs.len().max(1));
-    if workers <= 1 {
-        return inputs.into_iter().map(f).collect();
-    }
-
-    let dispatcher = Dispatcher::new(inputs.len(), workers);
-    let slots = Slots::new(inputs.len());
-    // Jobs are moved into per-index option cells so workers can take
-    // them by claimed index without a queue lock.
-    let jobs: Vec<UnsafeCell<Option<I>>> = inputs
-        .into_iter()
-        .map(|i| UnsafeCell::new(Some(i)))
-        .collect();
-    struct Jobs<I>(Vec<UnsafeCell<Option<I>>>);
-    // SAFETY: same exclusivity argument as `Slots` — each index is
-    // claimed by exactly one worker.
-    unsafe impl<I: Send> Sync for Jobs<I> {}
-    impl<I> Jobs<I> {
-        /// # Safety
-        ///
-        /// `index` must be exclusively claimed by the calling worker.
-        unsafe fn take(&self, index: usize) -> Option<I> {
-            // SAFETY: the caller holds the claim for `index`.
-            unsafe { (*self.0[index].get()).take() }
-        }
-    }
-    let jobs = Jobs(jobs);
-
-    std::thread::scope(|scope| {
-        let jobs = &jobs;
-        let slots = &slots;
-        let dispatcher = &dispatcher;
-        let f = &f;
-        for _ in 0..workers {
-            scope.spawn(move || {
-                while let Some(range) = dispatcher.claim() {
-                    for index in range {
-                        // SAFETY: `index` came from `dispatcher.claim()`
-                        // on this thread, so no other thread reads or
-                        // writes these cells.
-                        let input = unsafe { jobs.take(index) }.expect("job dispatched twice");
-                        let output = f(input);
-                        // SAFETY: the same claim covers the write.
-                        unsafe { slots.write(index, output) };
-                    }
-                }
-            });
-        }
-    });
-    // SAFETY: the scope joined every worker, and the dispatcher handed
-    // out each index exactly once, so every slot is initialised.
-    unsafe { slots.into_vec() }
+    let len = inputs.len();
+    // Each input waits in its own cell until the worker that claims its
+    // index takes it.
+    let inputs: Vec<Mutex<Option<I>>> = inputs.into_iter().map(|i| Mutex::new(Some(i))).collect();
+    let mut outputs = Vec::new();
+    run_in_order(
+        &[len],
+        workers,
+        |_, index| {
+            let input = inputs[index]
+                .lock()
+                .expect("input cell")
+                .take()
+                .expect("job dispatched twice");
+            f(input)
+        },
+        |_, results| outputs = results,
+    );
+    outputs
 }
 
 /// Maps `f` over `inputs` using up to [`available_workers`] threads,
@@ -349,7 +343,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
 
     #[test]
     fn preserves_order() {
@@ -369,37 +362,71 @@ mod tests {
     }
 
     #[test]
-    fn dispatcher_claims_fifo_ascending() {
-        let d = Dispatcher::new(10, 3);
-        let mut claimed = Vec::new();
-        while let Some(range) = d.claim() {
-            claimed.push(range);
+    fn devices_are_handed_over_in_order_with_results_in_job_order() {
+        for shape in [vec![0, 2, 0, 3], vec![5], vec![]] {
+            let expected: Vec<(usize, Vec<(usize, usize)>)> = shape
+                .iter()
+                .enumerate()
+                .map(|(device, &jobs)| (device, (0..jobs).map(|job| (device, job)).collect()))
+                .collect();
+            for workers in [1, 2, 3, 8] {
+                let mut seen = Vec::new();
+                run_in_order(
+                    &shape,
+                    workers,
+                    |device, job| (device, job),
+                    |device, results| seen.push((device, results)),
+                );
+                assert_eq!(seen, expected, "shape {shape:?}, {workers} workers");
+            }
         }
-        // Ranges are contiguous, ascending and cover 0..10 exactly.
-        let mut next = 0;
-        for range in &claimed {
-            assert_eq!(range.start, next);
-            next = range.end;
-        }
-        assert_eq!(next, 10);
     }
 
     #[test]
-    fn dispatcher_covers_all_indices_across_threads() {
-        let d = Dispatcher::new(1000, 4);
-        let seen = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    while let Some(range) = d.claim() {
-                        seen.lock().unwrap().extend(range);
-                    }
-                });
-            }
-        });
-        let mut seen = seen.into_inner().unwrap();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..1000).collect::<Vec<_>>());
+    fn a_device_that_finishes_first_is_still_handed_over_in_its_turn() {
+        // Job (0, 0) blocks its worker, so the other worker runs jobs
+        // (1, 0) and then (2, 0), reporting device 1 done before it
+        // starts job (2, 0).  Job (0, 0) waits on a channel job (2, 0)
+        // signals, so device 1's report reaches the caller before
+        // device 0's.
+        let (signal, wait) = mpsc::channel();
+        let wait = Mutex::new(wait);
+        let finished = Mutex::new(Vec::new());
+        let mut handed = Vec::new();
+        run_in_order(
+            &[1, 1, 1],
+            2,
+            |device, _| {
+                if device == 0 {
+                    wait.lock()
+                        .expect("receiver")
+                        .recv()
+                        .expect("job (2, 0) signals");
+                }
+                finished.lock().expect("finish log").push(device);
+                if device == 2 {
+                    signal.send(()).expect("job (0, 0) waits");
+                }
+            },
+            |device, _| handed.push(device),
+        );
+        assert_eq!(finished.into_inner().expect("finish log"), vec![1, 2, 0]);
+        assert_eq!(handed, vec![0, 1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a scoped thread panicked")]
+    fn a_panicking_job_panics_the_caller() {
+        run_in_order(
+            &[2, 3],
+            2,
+            |device, job| {
+                if (device, job) == (1, 1) {
+                    panic!("job (1, 1) fails");
+                }
+            },
+            |_, _| {},
+        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The [`Runner`] builder: the one documented way to drive a run.
 //!
-//! The engine module exposes the sharded entrypoints
-//! ([`engine::run_sharded`], [`engine::run_observed`]) for callers that
-//! build their own mitigation; `Runner` collapses the common path: pick
+//! The engine module exposes its entrypoints ([`engine::run_sharded`],
+//! [`engine::run_observed`]) for callers that build their own
+//! mitigation; `Runner` collapses the common path: pick
 //! a technique, a seed, a backend fidelity tier, a parallelism policy
 //! and any number of observers, then call [`Runner::run`].
 //!
@@ -24,18 +24,17 @@
 use crate::config::{Parallelism, RunConfig};
 use crate::engine;
 use crate::metrics::RunMetrics;
-use crate::observe::{Observe, RunSummary, ShardInfo};
+use crate::observe::Observe;
 use crate::techniques::{self, TechniqueSpec};
 use dram_sim::BackendSpec;
 use mem_trace::{ShardError, TraceSource, TraceSplit};
 use rh_hwmodel::Technique;
-use std::time::Instant;
 
 /// Builder over the run engine: technique, seed, backend tier,
 /// parallelism and observers in one place.
 ///
-/// With no observers attached, [`Runner::run`] calls straight into the
-/// monomorphised no-observer engine ([`engine::run_sharded`]) — the
+/// [`Runner::run`] calls straight into [`engine::run_sharded`].  With no
+/// observers attached that is the monomorphised no-observer engine — the
 /// builder adds nothing to the per-activation path.  Attaching an
 /// observer switches to the dynamically-dispatched observed loop.
 pub struct Runner {
@@ -121,12 +120,10 @@ impl Runner {
         // Static dispatch: the engine loop matches on [`AnyMitigation`]
         // per interval segment instead of making per-event vtable calls.
         let build = || techniques::build_any(self.spec, &self.config, self.seed);
-        if self.observers.is_empty() {
-            engine::run_sharded(trace, &build, &self.config)
-        } else {
-            let observe: &[Box<dyn Observe>] = &self.observers;
-            engine::run_with_observed(trace, &build, &self.config, &observe)
-        }
+        // No observers means `None`: the engine's no-observer path.
+        let observers: &[Box<dyn Observe>] = &self.observers;
+        let observe = (!observers.is_empty()).then_some(&observers as &dyn Observe);
+        engine::run_sharded(trace, &build, &self.config, observe)
     }
 
     /// Drives a [`TraceSource`] that may or may not support bank
@@ -166,35 +163,10 @@ impl Runner {
     /// is not `Send`) sequentially, still honouring observers: the
     /// whole run is reported as a single shard.
     pub fn run_sequential<S: TraceSource>(&self, trace: S) -> RunMetrics {
-        let mut mitigation = techniques::build_any(self.spec, &self.config, self.seed);
-        if self.observers.is_empty() {
-            return engine::run_observed(
-                trace,
-                &mut mitigation,
-                &self.config,
-                &mut crate::observe::NullObserver,
-            );
-        }
-        let observe: &[Box<dyn Observe>] = &self.observers;
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "wall time feeds only Observe shard/run callbacks, never RunMetrics"
-        )]
-        let start = Instant::now();
-        let shard = ShardInfo::whole_run();
-        observe.on_shard_start(&shard);
-        let mut observer = observe.observer(&shard);
-        let metrics = engine::run_observed(trace, &mut mitigation, &self.config, observer.as_mut());
-        observe.on_shard_finish(&shard, &metrics, start.elapsed());
-        observe.on_run_end(
-            &metrics,
-            &RunSummary {
-                workers: 1,
-                shards: 1,
-                elapsed: start.elapsed(),
-            },
-        );
-        metrics
+        let build = || techniques::build_any(self.spec, &self.config, self.seed);
+        let observers: &[Box<dyn Observe>] = &self.observers;
+        let observe = (!observers.is_empty()).then_some(&observers as &dyn Observe);
+        engine::run_whole(trace, &build, &self.config, observe)
     }
 }
 
@@ -216,6 +188,7 @@ mod tests {
             scenario::paper_mix(&config, 4),
             &|| techniques::build(Technique::Para, &config, 4),
             &config,
+            None,
         );
         let built = Runner::new(config.clone())
             .technique(Technique::Para)

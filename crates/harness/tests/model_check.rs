@@ -1,42 +1,34 @@
-//! Concurrency model check for the chunked `fetch_add` dispatcher.
+//! Concurrency model check for the worker pool's two-level scheduler.
 //!
 //! The determinism suite (`tests/determinism.rs`) proves sequential ≡
 //! sharded ≡ batched on *sampled* schedules — whatever interleavings
-//! the OS happens to produce.  This test closes the gap: it models the
-//! dispatcher claim loop and the shard-merge join as a small state
-//! machine and lets the vendored `interleave` explorer run **every**
-//! interleaving of 2–3 workers, asserting on each terminal state that
+//! the OS happens to produce.  This test closes the gap: it models
+//! [`rh_harness::parallel::TwoLevelDispatcher`]'s claim protocol and
+//! the in-order hand-over of [`rh_harness::parallel::run_in_order`] as
+//! a small state machine and lets the vendored `interleave` explorer
+//! run **every** interleaving of 2–3 workers over 1–3 devices × 1–3
+//! jobs, asserting on each terminal state
 //!
-//! 1. every job index is dispatched to exactly one worker (claim
-//!    uniqueness — the property the `Ordering::Relaxed` audit in
-//!    `src/parallel.rs` rests on),
-//! 2. every result slot is written exactly once, with the value the
-//!    sequential run would produce (order preservation),
-//! 3. folding the workers' shard partials with the *real*
-//!    [`RunMetrics::merge`] yields the sequential merge, for every
-//!    possible partition of jobs onto workers (merge algebra).
+//! 1. device-claim uniqueness: the outer FIFO hands each device to
+//!    exactly one owner;
+//! 2. job exclusivity across owners *and* thieves: every
+//!    `(device, job)` is dispatched exactly once — the property the
+//!    `Ordering::Relaxed` audit in `src/parallel.rs` rests on;
+//! 3. no cross-device slot leakage, and that handing devices over in
+//!    index order (each device's results merged in job order, devices
+//!    folded in index order) matches the sequential reference under
+//!    every completion order.
 //!
-//! A negative model seeds the classic bug — the claim split into a
-//! non-atomic read step and write step — and asserts the explorer
-//! *finds* the duplicate dispatch, so the green runs above are
-//! evidence and not vacuity.
-//!
-//! The second half extends the check to the fleet's **two-level**
-//! scheduler ([`rh_harness::parallel::TwoLevelDispatcher`]): 2–3
-//! workers over 2–3 devices × 1–2 bank jobs, asserting device-claim
-//! uniqueness (the outer FIFO hands each device to exactly one owner),
-//! job exclusivity across owners *and* thieves, no cross-device slot
-//! leakage, and that the fleet coordinator's reorder-buffer fold (merge
-//! shards in bank order, fold devices in index order) matches the
-//! sequential reference under every completion order.  Its negative
-//! model seeds a stale device cursor — the outer claim split into read
-//! and write-back — and proves the explorer catches a device owned by
-//! two workers.
+//! The one-device shapes are [`rh_harness::parallel::map_workers`]'
+//! case: the owner and every thief draw from one inner cursor.  A
+//! negative model seeds a stale device cursor — the outer claim split
+//! into read and write-back — and proves the explorer catches a device
+//! owned by two workers, so the green runs are evidence and not
+//! vacuity.
 
 use dram_sim::{BankId, RowAddr};
 use interleave::{any_schedule, explore, Model};
 use rh_harness::metrics::{FlipRecord, RunMetrics};
-use std::collections::BTreeMap;
 
 /// Per-job metrics fixture: distinct counters per index plus staggered
 /// `Option` firsts so the min-over-`Option` legs of the merge algebra
@@ -76,314 +68,6 @@ fn job_metrics(index: usize) -> RunMetrics {
     }
 }
 
-/// The sequential reference: jobs merged left-to-right in input order.
-fn sequential_merge(len: usize) -> RunMetrics {
-    (1..len).fold(job_metrics(0), |acc, i| acc.merge(job_metrics(i)))
-}
-
-/// One modeled worker: either between claims (`range == None`) or
-/// processing its claimed chunk one index per step.
-#[derive(Clone)]
-struct Worker {
-    range: Option<(usize, usize)>,
-    partial: Option<RunMetrics>,
-    done: bool,
-    /// Broken-variant staging: a cursor value read but not yet
-    /// published.  Always `None` in the sound model.
-    staged_read: Option<usize>,
-}
-
-#[derive(Clone)]
-struct State {
-    cursor: usize,
-    workers: Vec<Worker>,
-    /// Result slots, mirroring `Slots` in `src/parallel.rs`.
-    slots: Vec<Option<RunMetrics>>,
-    /// Dispatch count per job index; the sound model must end with
-    /// every entry exactly 1.
-    dispatched: Vec<u32>,
-}
-
-/// Models `map_workers`' claim loop faithfully: the claim — a read of
-/// the cursor and its advance — is ONE atomic step, exactly like the
-/// `fetch_add` in `Dispatcher::claim`; each per-index take/compute/
-/// write is a separate step, so claims and writes of different workers
-/// interleave freely.
-struct DispatcherModel {
-    workers: usize,
-    len: usize,
-    chunk: usize,
-}
-
-impl DispatcherModel {
-    fn process_one(&self, state: &mut State, t: usize) {
-        let worker = &mut state.workers[t];
-        let (index, end) = worker.range.expect("processing without a claim");
-        state.dispatched[index] += 1;
-        let out = job_metrics(index);
-        worker.partial = Some(match worker.partial.take() {
-            Some(acc) => acc.merge(out.clone()),
-            None => out.clone(),
-        });
-        state.slots[index] = Some(out);
-        worker.range = if index + 1 < end {
-            Some((index + 1, end))
-        } else {
-            None
-        };
-    }
-
-    fn finish_claim(&self, state: &mut State, t: usize, start: usize) {
-        let worker = &mut state.workers[t];
-        if start >= self.len {
-            worker.done = true;
-        } else {
-            worker.range = Some((start, (start + self.chunk).min(self.len)));
-        }
-    }
-}
-
-impl Model for DispatcherModel {
-    type State = State;
-
-    fn initial(&self) -> State {
-        State {
-            cursor: 0,
-            workers: vec![
-                Worker {
-                    range: None,
-                    partial: None,
-                    done: false,
-                    staged_read: None,
-                };
-                self.workers
-            ],
-            slots: vec![None; self.len],
-            dispatched: vec![0; self.len],
-        }
-    }
-
-    fn threads(&self) -> usize {
-        self.workers
-    }
-
-    fn runnable(&self, state: &State, t: usize) -> bool {
-        !state.workers[t].done
-    }
-
-    fn step(&self, state: &mut State, t: usize) {
-        if state.workers[t].range.is_some() {
-            self.process_one(state, t);
-        } else {
-            // The atomic claim: read + advance in one indivisible step.
-            let start = state.cursor;
-            state.cursor += self.chunk;
-            self.finish_claim(state, t, start);
-        }
-    }
-
-    fn check(&self, state: &State, schedule: &[usize]) {
-        // 1. Claim uniqueness: each index dispatched exactly once.
-        for (index, &count) in state.dispatched.iter().enumerate() {
-            assert_eq!(
-                count, 1,
-                "index {index} dispatched {count}× under {schedule:?}"
-            );
-        }
-        // 2. Order preservation: slot i holds the sequential f(i).
-        for (index, slot) in state.slots.iter().enumerate() {
-            assert_eq!(
-                slot.as_ref(),
-                Some(&job_metrics(index)),
-                "slot {index} wrong under {schedule:?}"
-            );
-        }
-        // 3. Merge algebra: folding the shard partials in worker-id
-        // order (what the engine does after the scope joins) equals the
-        // sequential merge, whatever partition this schedule produced.
-        let merged = state
-            .workers
-            .iter()
-            .filter_map(|w| w.partial.clone())
-            .reduce(RunMetrics::merge)
-            .expect("at least one worker claimed jobs");
-        assert_eq!(
-            merged,
-            sequential_merge(self.len),
-            "merge diverged under {schedule:?}"
-        );
-    }
-}
-
-#[test]
-fn dispatcher_sound_under_every_interleaving() {
-    // Worker/len/chunk matrix from the engine's real operating points:
-    // 2–3 workers, more jobs than workers, chunks of 1–2.
-    for (workers, len, chunk) in [(2, 4, 1), (2, 5, 2), (3, 4, 1), (3, 6, 2)] {
-        let stats = explore(&DispatcherModel {
-            workers,
-            len,
-            chunk,
-        });
-        assert!(
-            stats.interleavings > 1,
-            "exploration degenerate for {workers}w/{len}j/{chunk}c"
-        );
-        println!(
-            "model ok: {workers} workers, {len} jobs, chunk {chunk}: \
-             {} interleavings, {} steps, depth {}",
-            stats.interleavings, stats.steps, stats.max_depth
-        );
-    }
-}
-
-/// The seeded bug: the claim decomposed into a *read* step and a
-/// *write-back* step, as if the cursor were a plain variable instead of
-/// a `fetch_add`.  Two workers may now read the same cursor value.
-struct BrokenDispatcherModel {
-    inner: DispatcherModel,
-}
-
-impl Model for BrokenDispatcherModel {
-    type State = State;
-
-    fn initial(&self) -> State {
-        self.inner.initial()
-    }
-
-    fn threads(&self) -> usize {
-        self.inner.workers
-    }
-
-    fn runnable(&self, state: &State, t: usize) -> bool {
-        !state.workers[t].done
-    }
-
-    fn step(&self, state: &mut State, t: usize) {
-        if state.workers[t].range.is_some() {
-            self.inner.process_one(state, t);
-        } else if let Some(start) = state.workers[t].staged_read.take() {
-            // Step 2 of the broken claim: publish the advanced cursor.
-            // Another worker may have read the same `start` in between.
-            state.cursor = start + self.inner.chunk;
-            self.inner.finish_claim(state, t, start);
-        } else {
-            // Step 1 of the broken claim: unsynchronized read.
-            state.workers[t].staged_read = Some(state.cursor);
-        }
-    }
-
-    fn check(&self, _state: &State, _schedule: &[usize]) {
-        // Verdicts are taken via `any_schedule` predicates instead.
-    }
-}
-
-#[test]
-fn model_checker_catches_non_atomic_cursor() {
-    let broken = BrokenDispatcherModel {
-        inner: DispatcherModel {
-            workers: 2,
-            len: 3,
-            chunk: 1,
-        },
-    };
-    // The explorer must surface a schedule where some index is
-    // dispatched twice — the lost update the atomic fetch_add rules
-    // out.  If this stops failing, the positive test above is vacuous.
-    assert!(
-        any_schedule(&broken, |s| s.dispatched.iter().any(|&c| c > 1)),
-        "explorer failed to find the duplicate dispatch in the broken model"
-    );
-    // And under the single-threaded schedule everything still works,
-    // so the bug really is an interleaving bug, not a modeling bug.
-    assert!(any_schedule(&broken, |s| s
-        .dispatched
-        .iter()
-        .all(|&c| c == 1)));
-}
-
-/// A deliberately order-sensitive fold (first-trigger taken from the
-/// *left* operand instead of the min) must be caught as
-/// schedule-dependent — demonstrating the merge-algebra assertion has
-/// teeth beyond claim uniqueness.
-#[test]
-fn model_checker_catches_order_sensitive_merge() {
-    struct LeftBiasedMerge {
-        inner: DispatcherModel,
-    }
-
-    impl Model for LeftBiasedMerge {
-        type State = State;
-        fn initial(&self) -> State {
-            self.inner.initial()
-        }
-        fn threads(&self) -> usize {
-            self.inner.workers
-        }
-        fn runnable(&self, state: &State, t: usize) -> bool {
-            !state.workers[t].done
-        }
-        fn step(&self, state: &mut State, t: usize) {
-            if state.workers[t].range.is_some() {
-                let worker = &state.workers[t];
-                let (index, end) = worker.range.expect("claimed");
-                state.dispatched[index] += 1;
-                let out = job_metrics(index);
-                let worker = &mut state.workers[t];
-                worker.partial = Some(match worker.partial.take() {
-                    Some(mut acc) => {
-                        // The bug: keep the left first_trigger_act
-                        // unconditionally instead of taking the min.
-                        acc.first_trigger_act = acc.first_trigger_act.or(out.first_trigger_act);
-                        let mut merged = acc.clone().merge(out);
-                        merged.first_trigger_act = acc.first_trigger_act;
-                        merged
-                    }
-                    None => out,
-                });
-                state.workers[t].range = if index + 1 < end {
-                    Some((index + 1, end))
-                } else {
-                    None
-                };
-            } else {
-                let start = state.cursor;
-                state.cursor += self.inner.chunk;
-                self.inner.finish_claim(state, t, start);
-            }
-        }
-        fn check(&self, _state: &State, _schedule: &[usize]) {}
-    }
-
-    let model = LeftBiasedMerge {
-        inner: DispatcherModel {
-            workers: 2,
-            len: 4,
-            chunk: 1,
-        },
-    };
-    let expected = sequential_merge(4);
-    let final_merge = |s: &State| {
-        s.workers
-            .iter()
-            .filter_map(|w| w.partial.clone())
-            .reduce(RunMetrics::merge)
-            .expect("some worker ran")
-    };
-    // Some schedule diverges from the sequential merge…
-    assert!(
-        any_schedule(&model, |s| final_merge(s) != expected),
-        "left-biased merge was not caught as schedule-dependent"
-    );
-    // …while others agree with it, so the divergence is genuinely an
-    // interleaving effect.
-    assert!(any_schedule(&model, |s| final_merge(s) == expected));
-}
-
-// ---------------------------------------------------------------------------
-// Two-level (fleet) scheduler model
-// ---------------------------------------------------------------------------
-
 /// Per-(device, job) metrics fixture.  The `device * 10` stride keeps
 /// every device's jobs disjoint from every other's, so a claim leaking
 /// across devices produces a *different* `RunMetrics` and is caught by
@@ -392,10 +76,10 @@ fn device_job_metrics(device: usize, job: usize) -> RunMetrics {
     job_metrics(device * 10 + job)
 }
 
-/// The sequential fleet reference: each device's jobs merged in job
-/// (bank) order, devices folded in index order with the population
-/// merge — exactly what the fleet coordinator must reproduce under
-/// every schedule.
+/// The sequential reference: each device's jobs merged in job (bank)
+/// order, devices folded in index order with the population merge —
+/// exactly what the in-order hand-over must reproduce under every
+/// schedule.
 fn fleet_sequential(counts: &[usize]) -> RunMetrics {
     counts
         .iter()
@@ -410,38 +94,34 @@ fn fleet_sequential(counts: &[usize]) -> RunMetrics {
         .expect("at least one device")
 }
 
-/// Replays the fleet coordinator over one completion order: assemble
-/// shards per device, merge a completed device's shards in job order,
-/// release devices through a reorder buffer in index order, fold with
-/// the population merge.  Mirrors `Fleet::execute`'s receive loop.
-fn coordinator_fold(counts: &[usize], arrivals: &[(usize, usize)]) -> RunMetrics {
-    let mut parts: Vec<Vec<Option<RunMetrics>>> = counts.iter().map(|&c| vec![None; c]).collect();
+/// Replays the pool's hand-over over one completion order: each
+/// finished job fills its `(device, job)` slot, and the devices whose
+/// jobs are all in are handed over strictly in index order — their
+/// slots merged in job order, then folded with the population merge.
+/// Mirrors `run_in_order` and the fleet's fold on top of it.
+fn in_order_fold(counts: &[usize], arrivals: &[(usize, usize)]) -> RunMetrics {
+    let mut slots: Vec<Vec<Option<RunMetrics>>> = counts.iter().map(|&c| vec![None; c]).collect();
     let mut remaining = counts.to_vec();
-    let mut reorder: BTreeMap<usize, RunMetrics> = BTreeMap::new();
     let mut next = 0usize;
     let mut folded: Option<RunMetrics> = None;
     for &(d, j) in arrivals {
-        assert!(parts[d][j].is_none(), "job ({d}, {j}) arrived twice");
-        parts[d][j] = Some(device_job_metrics(d, j));
+        assert!(slots[d][j].is_none(), "job ({d}, {j}) arrived twice");
+        slots[d][j] = Some(device_job_metrics(d, j));
         remaining[d] -= 1;
-        if remaining[d] == 0 {
-            let merged = parts[d]
-                .iter()
-                .flatten()
-                .cloned()
+        while next < counts.len() && remaining[next] == 0 {
+            let device = slots[next]
+                .drain(..)
+                .map(|slot| slot.expect("every job of a handed-over device has run"))
                 .reduce(RunMetrics::merge)
-                .expect("complete device");
-            reorder.insert(d, merged);
-            while let Some(done) = reorder.remove(&next) {
-                folded = Some(match folded.take() {
-                    Some(acc) => acc.merge_population(done),
-                    None => done,
-                });
-                next += 1;
-            }
+                .expect("every device has at least one job");
+            folded = Some(match folded.take() {
+                Some(acc) => acc.merge_population(device),
+                None => device,
+            });
+            next += 1;
         }
     }
-    assert_eq!(next, counts.len(), "every device released in order");
+    assert_eq!(next, counts.len(), "every device handed over in order");
     folded.expect("at least one device")
 }
 
@@ -466,7 +146,7 @@ struct FleetState {
     owners: Vec<u32>,
     /// Dispatch count per (device, job).
     dispatched: Vec<Vec<u32>>,
-    /// Claim order — the completion order the coordinator replays.
+    /// Claim order — the completion order the hand-over replays.
     arrivals: Vec<(usize, usize)>,
     workers: Vec<FleetWorker>,
 }
@@ -579,12 +259,11 @@ impl Model for TwoLevelModel {
                 );
             }
         }
-        // 3. No cross-device leakage + partition-independent merge: the
-        // coordinator replay over this schedule's completion order
-        // (slot identity checked inside) equals the sequential fleet
-        // reference.
+        // 3. No cross-device leakage + in-order hand-over: the fold over
+        // this schedule's completion order (slot identity checked
+        // inside) equals the sequential fleet reference.
         assert_eq!(
-            coordinator_fold(&self.counts, &state.arrivals),
+            in_order_fold(&self.counts, &state.arrivals),
             fleet_sequential(&self.counts),
             "fleet merge diverged under {schedule:?}"
         );
@@ -593,10 +272,13 @@ impl Model for TwoLevelModel {
 
 #[test]
 fn two_level_scheduler_sound_under_every_interleaving() {
-    // Device shapes from the fleet's real operating points: uneven
-    // shard counts so owners drain at different times and the steal
-    // phase genuinely fires.
+    // Device shapes from the pool's real operating points: one device
+    // (`map_workers`, where every worker but the owner steals), and
+    // uneven shard counts so owners drain at different times and the
+    // steal phase genuinely fires.
     for (workers, counts) in [
+        (2, vec![3]),
+        (3, vec![2]),
         (2, vec![2, 2]),
         (2, vec![3, 1]),
         (2, vec![1, 2, 1]),

@@ -354,7 +354,9 @@ impl Attacker {
         // the usual aggressor exclusion is per-instant, not across
         // time), so the victim set is the span itself.
         if let AttackKind::ProfilingSweep {
-            base_row, span_rows, ..
+            base_row,
+            span_rows,
+            ..
         } = self.config.kind
         {
             return (0..span_rows.max(1))

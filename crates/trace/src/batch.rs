@@ -2,7 +2,7 @@
 //! path.
 //!
 //! [`EventBatch`] is a structure-of-arrays buffer of `(bank, row,
-//! aggressor, tick)` activations covering one or more *whole* refresh
+//! aggressor)` activations covering one or more *whole* refresh
 //! intervals.  Interval boundaries are marked in-band as a cumulative
 //! offset list, so the consumer can walk `segment(i)` ranges and issue
 //! the device refresh between them exactly as the one-interval-at-a-time
@@ -18,8 +18,8 @@ use std::ops::Range;
 /// Default soft capacity of a batch, in events.
 ///
 /// Large enough to amortise per-batch dispatch over thousands of
-/// activations, small enough that a batch of four `Vec`s stays within
-/// L2-cache reach (~2 K events ≈ 26 KiB of SoA payload).
+/// activations, small enough that a batch of three `Vec`s stays within
+/// L2-cache reach (~2 K events ≈ 18 KiB of SoA payload).
 pub const DEFAULT_BATCH_EVENTS: usize = 2048;
 
 /// A structure-of-arrays buffer of activations spanning whole refresh
@@ -29,9 +29,6 @@ pub struct EventBatch {
     banks: Vec<BankId>,
     rows: Vec<RowAddr>,
     aggressors: Vec<bool>,
-    /// Per-event interval ordinal *within this batch* (the index of the
-    /// boundary the event precedes).
-    ticks: Vec<u32>,
     /// Cumulative event count at the end of each interval.  Two equal
     /// consecutive entries encode an empty interval — the refresh still
     /// ticks, no activations arrive.
@@ -55,7 +52,6 @@ impl EventBatch {
             banks: Vec::new(),
             rows: Vec::new(),
             aggressors: Vec::new(),
-            ticks: Vec::new(),
             boundaries: Vec::new(),
             scratch: Vec::new(),
             target_events: target_events.max(1),
@@ -77,7 +73,6 @@ impl EventBatch {
         self.banks.clear();
         self.rows.clear();
         self.aggressors.clear();
-        self.ticks.clear();
         self.boundaries.clear();
     }
 
@@ -118,12 +113,6 @@ impl EventBatch {
     #[inline]
     pub fn row(&self, i: usize) -> RowAddr {
         self.rows[i]
-    }
-
-    /// Interval ordinal (within the batch) of event `i`.
-    #[inline]
-    pub fn tick(&self, i: usize) -> u32 {
-        self.ticks[i]
     }
 
     /// Event `i` reassembled into the array-of-structs form.
@@ -197,15 +186,10 @@ impl EventBatch {
     /// [`EventBatch::end_interval`] (every pushed event must be closed
     /// by a boundary before the batch is consumed).
     #[inline]
-    #[allow(
-        clippy::cast_possible_truncation,
-        reason = "hot path: the tick is the interval ordinal, bounded by the run's interval count, far below u32::MAX"
-    )]
     pub fn push_event(&mut self, bank: BankId, row: RowAddr, aggressor: bool) {
         self.banks.push(bank);
         self.rows.push(row);
         self.aggressors.push(aggressor);
-        self.ticks.push(self.boundaries.len() as u32);
     }
 
     /// Closes the interval currently being filled (possibly empty).
@@ -216,13 +200,11 @@ impl EventBatch {
 
     /// Appends one whole interval's events and closes its boundary.
     pub fn push_interval(&mut self, events: &[TraceEvent]) {
-        let tick = u32::try_from(self.boundaries.len()).expect("interval ordinal fits u32");
         self.banks.reserve(events.len());
         for e in events {
             self.banks.push(e.bank);
             self.rows.push(e.row);
             self.aggressors.push(e.aggressor);
-            self.ticks.push(tick);
         }
         self.boundaries.push(self.banks.len());
     }
@@ -272,8 +254,6 @@ mod tests {
         assert_eq!(batch.segment(1), 2..2);
         assert_eq!(batch.segment(2), 2..3);
         assert_eq!(batch.event(2), ev(0, 3));
-        assert_eq!(batch.tick(0), 0);
-        assert_eq!(batch.tick(2), 2);
     }
 
     #[test]
@@ -323,7 +303,10 @@ mod tests {
         // A sub-range (the engine's chunked replay) yields runs clipped
         // to it, and an empty range yields nothing.
         let runs: Vec<(BankId, Range<usize>)> = batch.bank_runs(1..4).collect();
-        assert_eq!(runs, vec![(BankId(0), 1..2), (BankId(1), 2..3), (BankId(0), 3..4)]);
+        assert_eq!(
+            runs,
+            vec![(BankId(0), 1..2), (BankId(1), 2..3), (BankId(0), 3..4)]
+        );
         assert_eq!(batch.bank_runs(2..2).count(), 0);
     }
 

@@ -85,6 +85,7 @@ fn sharded_runs_match_sequential_for_every_technique() {
                 mix(&parallel, seed),
                 &|| techniques::build(technique, &parallel, seed),
                 &parallel,
+                None,
             );
             assert_eq!(
                 sequential, sharded,
@@ -101,9 +102,9 @@ fn sharded_runs_are_schedule_independent() {
     let parallel = config().with_parallelism(Parallelism::with_workers(4));
     let technique = Technique::LoLiPromi;
     let build = || techniques::build(technique, &parallel, 3);
-    let first = engine::run_sharded(mix(&parallel, 3), &build, &parallel);
+    let first = engine::run_sharded(mix(&parallel, 3), &build, &parallel, None);
     for _ in 0..3 {
-        let again = engine::run_sharded(mix(&parallel, 3), &build, &parallel);
+        let again = engine::run_sharded(mix(&parallel, 3), &build, &parallel, None);
         assert_eq!(first, again);
     }
 }
@@ -127,6 +128,7 @@ fn worker_count_zero_resolves_to_auto() {
         mix(&parallel, 1),
         &|| techniques::build(technique, &parallel, 1),
         &parallel,
+        None,
     );
     assert_eq!(seq, auto);
 }
