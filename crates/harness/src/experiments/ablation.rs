@@ -4,10 +4,11 @@
 //! alone" would cost).
 
 use crate::config::{ExperimentScale, RunConfig};
-use crate::metrics::MeanStd;
+use crate::experiments::{mean_std, sweep, total_flips, worst_margin};
+use crate::metrics::{MeanStd, RunMetrics};
 use crate::runner::Runner;
+use crate::scenario;
 use crate::table::TextTable;
-use crate::{parallel, scenario};
 use tivapromi::{HistoryPolicy, TivaConfig, TivaVariant};
 
 /// One ablation cell.
@@ -30,125 +31,87 @@ pub struct AblationResult {
     pub flips: usize,
 }
 
-fn sweep_one(
-    sweep: &'static str,
-    variant: TivaVariant,
-    value: String,
-    tiva: TivaConfig,
-    config: &RunConfig,
-    seeds: u32,
-) -> AblationResult {
-    let runs = parallel::map((1..=u64::from(seeds)).collect(), |seed| {
-        let trace = scenario::paper_mix(config, seed);
-        Runner::new(config.clone())
-            .technique((variant, tiva))
-            .seed(seed)
-            .run(trace)
-    });
-    let overheads: Vec<f64> = runs.iter().map(|m| m.overhead_percent()).collect();
-    AblationResult {
-        sweep,
-        variant,
-        value,
-        storage_bytes: runs.first().map_or(0.0, |m| m.storage_bytes_per_bank),
-        overhead: MeanStd::of(&overheads),
-        margin: runs.iter().map(|m| m.attack_margin()).fold(0.0, f64::max),
-        flips: runs.iter().map(|m| m.flips).sum(),
+/// One ablation point: its sweep, the variant under test, the swept
+/// value and the configuration that sets it.
+type Cell = (&'static str, TivaVariant, String, TivaConfig);
+
+/// Every ablation point, sweep by sweep, in the order `rh ablation`
+/// prints them.
+fn cells(config: &RunConfig) -> Vec<Cell> {
+    use TivaVariant::{CaPromi, LiPromi, LoLiPromi};
+    let base = TivaConfig::paper(&config.geometry);
+    let mut cells: Vec<Cell> = Vec::new();
+    // History-table size (paper value: 32) for LoLiPRoMi.
+    for n in [4usize, 8, 16, 32, 64, 128] {
+        cells.push((
+            "history entries",
+            LoLiPromi,
+            n.to_string(),
+            base.with_history_entries(n),
+        ));
     }
+    // `P_base` exponent (paper value: 23) for LiPRoMi.
+    for e in 21u32..=25 {
+        cells.push((
+            "P_base exponent",
+            LiPromi,
+            format!("2^-{e}"),
+            base.with_p_base_exponent(e),
+        ));
+    }
+    // CaPRoMi lock threshold (default 16).
+    for th in [2u32, 4, 8, 16, 32, 64] {
+        cells.push((
+            "lock threshold",
+            CaPromi,
+            th.to_string(),
+            base.with_lock_threshold(th),
+        ));
+    }
+    // Counter-table size (paper value: 64) for CaPRoMi.
+    for n in [16usize, 32, 64, 128] {
+        cells.push((
+            "counter entries",
+            CaPromi,
+            n.to_string(),
+            base.with_counter_entries(n),
+        ));
+    }
+    // History replacement policy (paper: FIFO) for LoLiPRoMi.
+    for p in [HistoryPolicy::Fifo, HistoryPolicy::Lru] {
+        cells.push((
+            "history policy",
+            LoLiPromi,
+            format!("{p:?}"),
+            base.with_history_policy(p),
+        ));
+    }
+    cells
 }
 
-/// History-table size sweep (paper value: 32) for LoLiPRoMi.
-pub fn history_sweep(scale: &ExperimentScale) -> Vec<AblationResult> {
+/// Runs every ablation sweep on the mixed trace.
+pub fn run(scale: &ExperimentScale) -> Vec<AblationResult> {
     let config = RunConfig::paper(scale);
-    let base = TivaConfig::paper(&config.geometry);
-    [4usize, 8, 16, 32, 64, 128]
-        .iter()
-        .map(|&entries| {
-            sweep_one(
-                "history entries",
-                TivaVariant::LoLiPromi,
-                entries.to_string(),
-                base.with_history_entries(entries),
-                &config,
-                scale.seeds,
-            )
-        })
-        .collect()
-}
-
-/// `P_base` exponent sweep (paper value: 23) for LiPRoMi.
-pub fn p_base_sweep(scale: &ExperimentScale) -> Vec<AblationResult> {
-    let config = RunConfig::paper(scale);
-    let base = TivaConfig::paper(&config.geometry);
-    (21u32..=25)
-        .map(|exp| {
-            sweep_one(
-                "P_base exponent",
-                TivaVariant::LiPromi,
-                format!("2^-{exp}"),
-                base.with_p_base_exponent(exp),
-                &config,
-                scale.seeds,
-            )
-        })
-        .collect()
-}
-
-/// CaPRoMi lock-threshold sweep (default 16).
-pub fn lock_threshold_sweep(scale: &ExperimentScale) -> Vec<AblationResult> {
-    let config = RunConfig::paper(scale);
-    let base = TivaConfig::paper(&config.geometry);
-    [2u32, 4, 8, 16, 32, 64]
-        .iter()
-        .map(|&th| {
-            sweep_one(
-                "lock threshold",
-                TivaVariant::CaPromi,
-                th.to_string(),
-                base.with_lock_threshold(th),
-                &config,
-                scale.seeds,
-            )
-        })
-        .collect()
-}
-
-/// Counter-table size sweep (paper value: 64) for CaPRoMi.
-pub fn counter_table_sweep(scale: &ExperimentScale) -> Vec<AblationResult> {
-    let config = RunConfig::paper(scale);
-    let base = TivaConfig::paper(&config.geometry);
-    [16usize, 32, 64, 128]
-        .iter()
-        .map(|&entries| {
-            sweep_one(
-                "counter entries",
-                TivaVariant::CaPromi,
-                entries.to_string(),
-                base.with_counter_entries(entries),
-                &config,
-                scale.seeds,
-            )
-        })
-        .collect()
-}
-
-/// History replacement policy sweep (paper: FIFO) for LoLiPRoMi.
-pub fn history_policy_sweep(scale: &ExperimentScale) -> Vec<AblationResult> {
-    let config = RunConfig::paper(scale);
-    let base = TivaConfig::paper(&config.geometry);
-    [HistoryPolicy::Fifo, HistoryPolicy::Lru]
-        .iter()
-        .map(|&policy| {
-            sweep_one(
-                "history policy",
-                TivaVariant::LoLiPromi,
-                format!("{policy:?}"),
-                base.with_history_policy(policy),
-                &config,
-                scale.seeds,
-            )
-        })
-        .collect()
+    sweep(
+        &cells(&config),
+        scale.seeds,
+        |&(_, variant, _, tiva), seed| {
+            let trace = scenario::paper_mix(&config, seed);
+            Runner::new(config.clone())
+                .technique((variant, tiva))
+                .seed(seed)
+                .run(trace)
+        },
+        |&(name, variant, ref value, _), runs| AblationResult {
+            sweep: name,
+            variant,
+            value: value.clone(),
+            storage_bytes: runs.first().map_or(0.0, |m| m.storage_bytes_per_bank),
+            overhead: mean_std(&runs, RunMetrics::overhead_percent),
+            margin: worst_margin(&runs),
+            flips: total_flips(&runs),
+        },
+    )
 }
 
 /// Renders ablation cells.
@@ -168,7 +131,7 @@ pub fn render(results: &[AblationResult]) -> String {
             r.variant.to_string(),
             r.value.clone(),
             format!("{:.0}", r.storage_bytes),
-            format!("{:.4} ± {:.4}", r.overhead.mean, r.overhead.std),
+            r.overhead.to_string(),
             format!("{:.0}%", 100.0 * r.margin),
             r.flips.to_string(),
         ]);
@@ -178,15 +141,10 @@ pub fn render(results: &[AblationResult]) -> String {
 
 /// Everything `rh ablation` prints: every sweep in one table.
 pub fn report(scale: &ExperimentScale) -> String {
-    let mut results = history_sweep(scale);
-    results.extend(p_base_sweep(scale));
-    results.extend(lock_threshold_sweep(scale));
-    results.extend(counter_table_sweep(scale));
-    results.extend(history_policy_sweep(scale));
     format!(
         "Ablations — design-choice sweeps (paper values: history 32,\n\
          P_base 2^-23, counter table 64)\n\n{}",
-        render(&results)
+        render(&run(scale))
     )
 }
 
@@ -202,9 +160,40 @@ mod tests {
         }
     }
 
+    /// The cells of one sweep of [`run`], in order.
+    fn sweep_of(name: &str) -> Vec<AblationResult> {
+        run(&tiny())
+            .into_iter()
+            .filter(|r| r.sweep == name)
+            .collect()
+    }
+
+    #[test]
+    fn run_yields_every_sweep_in_order() {
+        let cells: Vec<(&str, String)> = run(&tiny())
+            .into_iter()
+            .map(|r| (r.sweep, r.value))
+            .collect();
+        let expected: Vec<(&str, String)> = [
+            ("history entries", &["4", "8", "16", "32", "64", "128"][..]),
+            (
+                "P_base exponent",
+                &["2^-21", "2^-22", "2^-23", "2^-24", "2^-25"],
+            ),
+            ("lock threshold", &["2", "4", "8", "16", "32", "64"]),
+            ("counter entries", &["16", "32", "64", "128"]),
+            ("history policy", &["Fifo", "Lru"]),
+        ]
+        .iter()
+        .flat_map(|&(sweep, values)| values.iter().map(move |v| (sweep, v.to_string())))
+        .collect();
+        assert_eq!(cells.len(), 23);
+        assert_eq!(cells, expected);
+    }
+
     #[test]
     fn history_sweep_changes_storage_monotonically() {
-        let results = history_sweep(&tiny());
+        let results = sweep_of("history entries");
         assert_eq!(results.len(), 6);
         for pair in results.windows(2) {
             assert!(pair[0].storage_bytes < pair[1].storage_bytes);
@@ -217,7 +206,7 @@ mod tests {
 
     #[test]
     fn history_policy_sweep_runs_both_policies() {
-        let results = history_policy_sweep(&tiny());
+        let results = sweep_of("history policy");
         assert_eq!(results.len(), 2);
         for r in &results {
             assert_eq!(r.flips, 0, "policy={}", r.value);
@@ -230,7 +219,7 @@ mod tests {
     #[test]
     fn p_base_sweep_orders_overhead() {
         // A larger P_base (smaller exponent) triggers more often.
-        let results = p_base_sweep(&tiny());
+        let results = sweep_of("P_base exponent");
         let first = results.first().unwrap().overhead.mean; // 2^-21
         let last = results.last().unwrap().overhead.mean; // 2^-25
         assert!(first > last, "2^-21 {first} vs 2^-25 {last}");

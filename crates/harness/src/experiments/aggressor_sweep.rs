@@ -9,8 +9,8 @@
 //! the sequential multi-aggressor pattern ProHit was designed for).
 
 use crate::config::{ExperimentScale, RunConfig};
-use crate::metrics::MeanStd;
-use crate::parallel;
+use crate::experiments::{mean_std, sweep, total_flips, worst_margin};
+use crate::metrics::{MeanStd, RunMetrics};
 use crate::runner::Runner;
 use crate::table::TextTable;
 use dram_sim::{BankId, RowAddr};
@@ -76,44 +76,28 @@ pub fn run(scale: &ExperimentScale) -> Vec<SweepResult> {
         Technique::LoLiPromi,
         Technique::CaPromi,
     ];
-    let jobs: Vec<(Technique, u32, u64)> = under_test
-        .iter()
-        .flat_map(|&t| {
-            COUNTS
-                .iter()
-                .flat_map(move |&k| (1..=u64::from(scale.seeds.max(2))).map(move |s| (t, k, s)))
-        })
-        .collect();
-    let runs = parallel::map(jobs, |(t, k, seed)| {
-        let trace = fixed_count_mix(&config, k, seed);
-        let metrics = Runner::new(config.clone())
-            .technique(t)
-            .seed(seed)
-            .run(trace);
-        (t, k, metrics)
-    });
-
-    under_test
+    let cells: Vec<(Technique, u32)> = under_test
         .iter()
         .flat_map(|&t| COUNTS.iter().map(move |&k| (t, k)))
-        .map(|(t, k)| {
-            let cell: Vec<_> = runs
-                .iter()
-                .filter(|(rt, rk, _)| *rt == t && *rk == k)
-                .collect();
-            let overheads: Vec<f64> = cell.iter().map(|(_, _, m)| m.overhead_percent()).collect();
-            SweepResult {
-                technique: t,
-                aggressors: k,
-                overhead: MeanStd::of(&overheads),
-                flips: cell.iter().map(|(_, _, m)| m.flips).sum(),
-                margin: cell
-                    .iter()
-                    .map(|(_, _, m)| m.attack_margin())
-                    .fold(0.0, f64::max),
-            }
-        })
-        .collect()
+        .collect();
+    sweep(
+        &cells,
+        scale.seeds.max(2),
+        |&(t, k), seed| {
+            let trace = fixed_count_mix(&config, k, seed);
+            Runner::new(config.clone())
+                .technique(t)
+                .seed(seed)
+                .run(trace)
+        },
+        |&(t, k), runs| SweepResult {
+            technique: t,
+            aggressors: k,
+            overhead: mean_std(&runs, RunMetrics::overhead_percent),
+            flips: total_flips(&runs),
+            margin: worst_margin(&runs),
+        },
+    )
 }
 
 /// Renders the sweep grid.
@@ -129,7 +113,7 @@ pub fn render(results: &[SweepResult]) -> String {
         table.row(vec![
             r.technique.to_string(),
             r.aggressors.to_string(),
-            format!("{:.4} ± {:.4}", r.overhead.mean, r.overhead.std),
+            r.overhead.to_string(),
             format!("{:.0}%", 100.0 * r.margin),
             r.flips.to_string(),
         ]);

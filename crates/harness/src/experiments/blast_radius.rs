@@ -16,8 +16,10 @@
 //! and reports who flips.
 
 use crate::config::{ExperimentScale, RunConfig};
+use crate::experiments::{mean_std, sweep, total_flips, worst_margin};
+use crate::metrics::RunMetrics;
 use crate::table::TextTable;
-use crate::{engine, parallel, scenario, techniques};
+use crate::{engine, scenario, techniques};
 use dram_sim::RowAddr;
 use rh_hwmodel::Technique;
 use tivapromi::{Mitigation, WideNeighborhood};
@@ -64,56 +66,35 @@ pub fn run(scale: &ExperimentScale) -> Vec<BlastRadiusResult> {
         c.windows = c.windows.min(2);
         c
     };
-    let jobs: Vec<(Technique, u32, bool, u64)> = UNDER_TEST
-        .iter()
-        .flat_map(|&t| {
-            COUPLINGS.iter().flat_map(move |&d2| {
-                [false, true].into_iter().flat_map(move |wide| {
-                    (1..=u64::from(scale.seeds.max(2))).map(move |s| (t, d2, wide, s))
-                })
-            })
-        })
-        .collect();
-    let runs = parallel::map(jobs, |(t, d2, wide, seed)| {
-        let mut config = base.clone();
-        config.distance2_sixteenths = d2;
-        let trace = scenario::flooding(&config, RowAddr(100));
-        let metrics = engine::run_sharded(trace, &|| build(t, &config, seed, wide), &config, None);
-        (t, d2, wide, metrics)
-    });
-
-    UNDER_TEST
+    let cells: Vec<(Technique, u32, bool)> = UNDER_TEST
         .iter()
         .flat_map(|&t| {
             COUPLINGS
                 .iter()
-                .flat_map(move |&d2| [false, true].into_iter().map(move |w| (t, d2, w)))
+                .flat_map(move |&d2| [false, true].map(|wide| (t, d2, wide)))
         })
-        .map(|(t, d2, wide)| {
-            let cell: Vec<_> = runs
-                .iter()
-                .filter(|(rt, rd, rw, _)| *rt == t && *rd == d2 && *rw == wide)
-                .collect();
-            BlastRadiusResult {
-                technique: if wide {
-                    format!("{}+d2", t.name())
-                } else {
-                    t.name().to_string()
-                },
-                coupling_sixteenths: d2,
-                flips: cell.iter().map(|(_, _, _, m)| m.flips).sum(),
-                margin: cell
-                    .iter()
-                    .map(|(_, _, _, m)| m.attack_margin())
-                    .fold(0.0, f64::max),
-                overhead: cell
-                    .iter()
-                    .map(|(_, _, _, m)| m.overhead_percent())
-                    .sum::<f64>()
-                    / cell.len() as f64,
-            }
-        })
-        .collect()
+        .collect();
+    sweep(
+        &cells,
+        scale.seeds.max(2),
+        |&(t, d2, wide), seed| {
+            let mut config = base.clone();
+            config.distance2_sixteenths = d2;
+            let trace = scenario::flooding(&config, RowAddr(100));
+            engine::run_sharded(trace, &|| build(t, &config, seed, wide), &config, None)
+        },
+        |&(t, d2, wide), runs| BlastRadiusResult {
+            technique: if wide {
+                format!("{}+d2", t.name())
+            } else {
+                t.name().to_string()
+            },
+            coupling_sixteenths: d2,
+            flips: total_flips(&runs),
+            margin: worst_margin(&runs),
+            overhead: mean_std(&runs, RunMetrics::overhead_percent).mean,
+        },
+    )
 }
 
 /// Renders the blast-radius table.

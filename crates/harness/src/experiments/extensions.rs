@@ -15,9 +15,9 @@
 //!   generator's calibration.
 
 use crate::config::{ExperimentScale, RunConfig};
-use crate::experiments::fig4::Fig4Point;
-use crate::metrics::MeanStd;
-use crate::parallel;
+use crate::experiments::fig4::{self, Fig4Point};
+use crate::experiments::{mean_std, sweep, total_flips};
+use crate::metrics::{MeanStd, RunMetrics};
 use crate::runner::Runner;
 use crate::table::TextTable;
 use mem_trace::cpu::{CpuWorkload, CpuWorkloadConfig};
@@ -26,29 +26,7 @@ use rh_hwmodel::Technique;
 /// Fig. 4-style points for the extension techniques on the standard
 /// mixed trace.
 pub fn extension_points(scale: &ExperimentScale) -> Vec<Fig4Point> {
-    let config = RunConfig::paper(scale);
-    let jobs: Vec<(Technique, u64)> = Technique::EXTENSIONS
-        .iter()
-        .flat_map(|&t| (1..=u64::from(scale.seeds)).map(move |s| (t, s)))
-        .collect();
-    let runs = parallel::map(jobs, |(t, seed)| {
-        (t, crate::experiments::fig4::run_one(t, &config, seed))
-    });
-    Technique::EXTENSIONS
-        .iter()
-        .map(|&t| {
-            let cell: Vec<_> = runs.iter().filter(|(rt, _)| *rt == t).collect();
-            let overheads: Vec<f64> = cell.iter().map(|(_, m)| m.overhead_percent()).collect();
-            let fprs: Vec<f64> = cell.iter().map(|(_, m)| m.fpr_percent()).collect();
-            Fig4Point {
-                technique: t,
-                storage_bytes: cell.first().map_or(0.0, |(_, m)| m.storage_bytes_per_bank),
-                overhead: MeanStd::of(&overheads),
-                fpr: MeanStd::of(&fprs),
-                flips: cell.iter().map(|(_, m)| m.flips).sum(),
-            }
-        })
-        .collect()
+    fig4::points(&Technique::EXTENSIONS, scale)
 }
 
 /// One row of the cache-workload cross-validation.
@@ -72,45 +50,40 @@ pub fn cache_validation(scale: &ExperimentScale) -> Vec<CacheValidationResult> {
         Technique::LiPromi,
         Technique::LoLiPromi,
     ];
-    let jobs: Vec<(Technique, u64)> = under_test
-        .iter()
-        .flat_map(|&t| (1..=u64::from(scale.seeds.max(2))).map(move |s| (t, s)))
-        .collect();
-    let runs = parallel::map(jobs, |(t, seed)| {
-        // CpuWorkload couples banks through shared caches and a global
-        // RNG, so it cannot implement TraceSplit; these runs stay on the
-        // sequential engine (the per-seed jobs above still parallelise).
-        let trace = CpuWorkload::new(
-            CpuWorkloadConfig::paper(&config.geometry, config.intervals()),
-            seed,
-        );
-        let runner = Runner::new(config.clone()).technique(t).seed(seed);
-        (t, runner.run_sequential(trace))
-    });
-    under_test
-        .iter()
-        .map(|&t| {
-            let cell: Vec<_> = runs.iter().filter(|(rt, _)| *rt == t).collect();
-            let overheads: Vec<f64> = cell.iter().map(|(_, m)| m.overhead_percent()).collect();
-            CacheValidationResult {
-                technique: t,
-                overhead: MeanStd::of(&overheads),
-                flips: cell.iter().map(|(_, m)| m.flips).sum(),
-            }
-        })
-        .collect()
+    sweep(
+        &under_test,
+        scale.seeds.max(2),
+        |&t, seed| {
+            // CpuWorkload couples banks through shared caches and a global
+            // RNG, so it cannot implement TraceSplit; these runs stay on the
+            // sequential engine (the per-seed jobs still parallelise).
+            let trace = CpuWorkload::new(
+                CpuWorkloadConfig::paper(&config.geometry, config.intervals()),
+                seed,
+            );
+            Runner::new(config.clone())
+                .technique(t)
+                .seed(seed)
+                .run_sequential(trace)
+        },
+        |&t, runs| CacheValidationResult {
+            technique: t,
+            overhead: mean_std(&runs, RunMetrics::overhead_percent),
+            flips: total_flips(&runs),
+        },
+    )
 }
 
 /// Renders both parts.
 pub fn render(points: &[Fig4Point], validation: &[CacheValidationResult]) -> String {
     let mut out = String::from("Extension techniques on the Fig. 4 plane:\n\n");
-    out.push_str(&crate::experiments::fig4::render(points));
+    out.push_str(&fig4::render(points));
     out.push_str("\nCache-filtered (access-level) workload cross-validation:\n\n");
     let mut table = TextTable::new(vec!["technique", "overhead [%]", "flips"]);
     for r in validation {
         table.row(vec![
             r.technique.to_string(),
-            format!("{:.4} ± {:.4}", r.overhead.mean, r.overhead.std),
+            r.overhead.to_string(),
             r.flips.to_string(),
         ]);
     }

@@ -9,10 +9,11 @@
 //! variants in between — Pareto-optimal compromises.
 
 use crate::config::{ExperimentScale, RunConfig};
+use crate::experiments::{mean_std, sweep, total_flips};
 use crate::metrics::{MeanStd, RunMetrics};
 use crate::runner::Runner;
+use crate::scenario;
 use crate::table::TextTable;
-use crate::{parallel, scenario};
 use rh_hwmodel::Technique;
 
 /// One point of Fig. 4.
@@ -41,32 +42,25 @@ pub fn run_one(technique: Technique, config: &RunConfig, seed: u64) -> RunMetric
 
 /// Regenerates all nine Fig. 4 points at the given scale.
 pub fn run(scale: &ExperimentScale) -> Vec<Fig4Point> {
-    let config = RunConfig::paper(scale);
-    let jobs: Vec<(Technique, u64)> = Technique::TABLE3
-        .iter()
-        .flat_map(|&t| (0..scale.seeds).map(move |s| (t, u64::from(s) + 1)))
-        .collect();
-    let metrics = parallel::map(jobs, |(t, seed)| (t, run_one(t, &config, seed)));
+    points(&Technique::TABLE3, scale)
+}
 
-    Technique::TABLE3
-        .iter()
-        .map(|&t| {
-            let runs: Vec<&RunMetrics> = metrics
-                .iter()
-                .filter(|(mt, _)| *mt == t)
-                .map(|(_, m)| m)
-                .collect();
-            let overheads: Vec<f64> = runs.iter().map(|m| m.overhead_percent()).collect();
-            let fprs: Vec<f64> = runs.iter().map(|m| m.fpr_percent()).collect();
-            Fig4Point {
-                technique: t,
-                storage_bytes: runs.first().map_or(0.0, |m| m.storage_bytes_per_bank),
-                overhead: MeanStd::of(&overheads),
-                fpr: MeanStd::of(&fprs),
-                flips: runs.iter().map(|m| m.flips).sum(),
-            }
-        })
-        .collect()
+/// Fig. 4 points for `techniques` on the standard mixed trace, over
+/// `scale.seeds` seeds.
+pub(crate) fn points(techniques: &[Technique], scale: &ExperimentScale) -> Vec<Fig4Point> {
+    let config = RunConfig::paper(scale);
+    sweep(
+        techniques,
+        scale.seeds,
+        |&t, seed| run_one(t, &config, seed),
+        |&t, runs| Fig4Point {
+            technique: t,
+            storage_bytes: runs.first().map_or(0.0, |m| m.storage_bytes_per_bank),
+            overhead: mean_std(&runs, RunMetrics::overhead_percent),
+            fpr: mean_std(&runs, RunMetrics::fpr_percent),
+            flips: total_flips(&runs),
+        },
+    )
 }
 
 /// Renders the Fig. 4 series as a table (the figure's data points).
@@ -82,7 +76,7 @@ pub fn render(points: &[Fig4Point]) -> String {
         table.row(vec![
             p.technique.to_string(),
             format!("{:.0}", p.storage_bytes),
-            format!("{:.4} ± {:.4}", p.overhead.mean, p.overhead.std),
+            p.overhead.to_string(),
             format!("{:.4}", p.fpr.mean),
             p.flips.to_string(),
         ]);

@@ -15,18 +15,25 @@
 //! the retrigger-gap distribution has a heavy tail for *linear*
 //! weight regrowth, and after the first trigger LoLiPRoMi switches to
 //! exactly that linear regime for the flooded (history-resident) row.
-//! With enough seeds, LiPRoMi *and* LoLiPRoMi therefore show rare
-//! (~2–3 % per window) tail events where a gap exceeds the 842-interval
-//! flip horizon — the quantitative form of the "potential
-//! vulnerability" §IV concedes for LiPRoMi, which our measurement shows
-//! the hybrid inherits.  LoPRoMi and CaPRoMi (logarithmic regrowth)
-//! show no such events.
+//! A gap longer than the 843-interval flip horizon
+//! (`tivapromi::RetriggerTail::horizon_intervals`) flips a victim; the
+//! closed form puts that at 2.65 % per window for LiPRoMi and LoLiPRoMi
+//! and 0.142 % for LoPRoMi's logarithmic regrowth
+//! (`RetriggerTail::flip_probability_per_window`) — the quantitative
+//! form of the "potential vulnerability" §IV concedes for LiPRoMi,
+//! which the hybrid inherits.  At paper scale each row of the table
+//! covers 24 seed-windows (12 seeds × 2 windows): at 2.65 % they expect
+//! 0.64 tail flips and see none with probability 52 %, so 0 flips and
+//! 2 flips are both consistent with the closed form, and 0 of 24 only
+//! bounds the rate below 14 % (two-sided 95 % Clopper–Pearson).  A
+//! fleet-scale cohort is what measures it.
 
 use crate::config::{ExperimentScale, RunConfig};
+use crate::experiments::{first_trigger, sweep, total_flips};
 use crate::metrics::MeanStd;
 use crate::runner::Runner;
+use crate::scenario;
 use crate::table::TextTable;
-use crate::{parallel, scenario};
 use dram_sim::RowAddr;
 use rh_hwmodel::{reference, Technique};
 
@@ -67,60 +74,36 @@ pub fn run(scale: &ExperimentScale) -> Vec<FloodingResult> {
     let mut techniques_under_test = Technique::TIVAPROMI.to_vec();
     techniques_under_test.push(Technique::Para);
 
-    let jobs: Vec<(Technique, u64, u64)> = techniques_under_test
-        .iter()
-        .flat_map(|&t| {
-            PHASES.iter().flat_map(move |&phase| {
-                (0..scale.seeds.max(12)).map(move |s| (t, phase, u64::from(s) + 1))
-            })
-        })
-        .collect();
-    let runs = parallel::map(jobs, |(t, phase, seed)| {
-        let trace = scenario::flooding_with_phase(&config, FLOODED_ROW, phase);
-        let metrics = Runner::new(config.clone())
-            .technique(t)
-            .seed(seed)
-            .run(trace);
-        (t, phase, metrics)
-    });
-
-    PHASES
+    let cells: Vec<(Technique, u64)> = PHASES
         .iter()
         .flat_map(|&phase| techniques_under_test.iter().map(move |&t| (t, phase)))
-        .map(|(t, phase)| {
-            let cell: Vec<_> = runs
+        .collect();
+    sweep(
+        &cells,
+        scale.seeds.max(12),
+        |&(t, phase), seed| {
+            let trace = scenario::flooding_with_phase(&config, FLOODED_ROW, phase);
+            Runner::new(config.clone())
+                .technique(t)
+                .seed(seed)
+                .run(trace)
+        },
+        |&(t, phase), runs| FloodingResult {
+            technique: t,
+            phase,
+            first_trigger: first_trigger(&runs),
+            worst: runs
                 .iter()
-                .filter(|(rt, rp, _)| *rt == t && *rp == phase)
-                .map(|(rt, _, m)| (*rt, m))
-                .collect();
-            let firsts: Vec<f64> = cell
+                .map(|m| m.first_trigger_act.unwrap_or(u64::MAX))
+                .max()
+                .unwrap_or(0),
+            paper: reference::FLOODING
                 .iter()
-                .map(|(_, m)| m.first_trigger_act.map_or(f64::INFINITY, |v| v as f64))
-                .collect();
-            let worst = firsts.iter().copied().fold(0.0, f64::max);
-            FloodingResult {
-                technique: t,
-                phase,
-                first_trigger: MeanStd::of(&firsts),
-                worst: if worst.is_finite() {
-                    #[allow(
-                        clippy::cast_possible_truncation,
-                        reason = "activation counts round-trip f64 exactly (< 2^53)"
-                    )]
-                    {
-                        worst as u64
-                    }
-                } else {
-                    u64::MAX
-                },
-                paper: reference::FLOODING
-                    .iter()
-                    .find(|p| p.technique == t)
-                    .map(|p| p.first_trigger_acts),
-                flips: cell.iter().map(|(_, m)| m.flips).sum(),
-            }
-        })
-        .collect()
+                .find(|p| p.technique == t)
+                .map(|p| p.first_trigger_acts),
+            flips: total_flips(&runs),
+        },
+    )
 }
 
 /// Renders the flooding table.

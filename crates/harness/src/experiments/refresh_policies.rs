@@ -5,10 +5,11 @@
 //! significant change in the performance of TiVaPRoMi".
 
 use crate::config::{ExperimentScale, RunConfig};
-use crate::metrics::MeanStd;
+use crate::experiments::{mean_std, sweep, total_flips, worst_margin};
+use crate::metrics::{MeanStd, RunMetrics};
 use crate::runner::Runner;
+use crate::scenario;
 use crate::table::TextTable;
-use crate::{parallel, scenario};
 use dram_sim::{RefreshOrder, RowAddr};
 use rh_hwmodel::Technique;
 
@@ -54,43 +55,26 @@ pub struct PolicyResult {
 /// Runs the four TiVaPRoMi variants under each policy.
 pub fn run(scale: &ExperimentScale) -> Vec<PolicyResult> {
     let base = RunConfig::paper(scale);
-    let mut jobs = Vec::new();
-    for &t in &Technique::TIVAPROMI {
-        for policy in policies() {
-            for seed in 0..scale.seeds {
-                jobs.push((t, policy.clone(), u64::from(seed) + 1));
-            }
-        }
-    }
-    let runs = parallel::map(jobs, |(t, policy, seed)| {
-        let config = base.clone().with_refresh_order(policy.clone());
-        let trace = scenario::paper_mix(&config, seed);
-        let metrics = Runner::new(config).technique(t).seed(seed).run(trace);
-        (t, policy.to_string(), metrics)
-    });
-
-    let mut results = Vec::new();
-    for &t in &Technique::TIVAPROMI {
-        for policy in policies() {
-            let name = policy.to_string();
-            let cell: Vec<_> = runs
-                .iter()
-                .filter(|(rt, rp, _)| *rt == t && *rp == name)
-                .collect();
-            let overheads: Vec<f64> = cell.iter().map(|(_, _, m)| m.overhead_percent()).collect();
-            results.push(PolicyResult {
-                technique: t,
-                policy: name,
-                overhead: MeanStd::of(&overheads),
-                margin: cell
-                    .iter()
-                    .map(|(_, _, m)| m.attack_margin())
-                    .fold(0.0, f64::max),
-                flips: cell.iter().map(|(_, _, m)| m.flips).sum(),
-            });
-        }
-    }
-    results
+    let cells: Vec<(Technique, RefreshOrder)> = Technique::TIVAPROMI
+        .iter()
+        .flat_map(|&t| policies().into_iter().map(move |policy| (t, policy)))
+        .collect();
+    sweep(
+        &cells,
+        scale.seeds,
+        |(t, policy), seed| {
+            let config = base.clone().with_refresh_order(policy.clone());
+            let trace = scenario::paper_mix(&config, seed);
+            Runner::new(config).technique(*t).seed(seed).run(trace)
+        },
+        |(t, policy), runs| PolicyResult {
+            technique: *t,
+            policy: policy.to_string(),
+            overhead: mean_std(&runs, RunMetrics::overhead_percent),
+            margin: worst_margin(&runs),
+            flips: total_flips(&runs),
+        },
+    )
 }
 
 /// Checks the paper's claim: per variant, the overhead spread across
@@ -128,7 +112,7 @@ pub fn render(results: &[PolicyResult]) -> String {
         table.row(vec![
             r.technique.to_string(),
             r.policy.clone(),
-            format!("{:.4} ± {:.4}", r.overhead.mean, r.overhead.std),
+            r.overhead.to_string(),
             format!("{:.0}%", 100.0 * r.margin),
             r.flips.to_string(),
         ]);

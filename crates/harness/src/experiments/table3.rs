@@ -92,8 +92,8 @@ pub fn render(results: &[Table3Result]) -> String {
             format!("{} | {}", r.luts_ddr3, r.paper.luts_ddr3),
             if r.vulnerable { "Yes" } else { "No" }.into(),
             format!(
-                "{:.4} ± {:.4} | {:.4} ± {:.4}",
-                r.overhead.mean, r.overhead.std, r.paper.overhead_mean, r.paper.overhead_std
+                "{} | {:.4} ± {:.4}",
+                r.overhead, r.paper.overhead_mean, r.paper.overhead_std
             ),
             format!("{:.4} | {:.3}", r.fpr.mean, r.paper.fpr),
         ]);

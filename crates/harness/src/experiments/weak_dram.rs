@@ -18,9 +18,11 @@
 //!   sweep demonstrates.
 
 use crate::config::{ExperimentScale, RunConfig};
+use crate::experiments::{mean_std, sweep, total_flips, worst_margin};
+use crate::metrics::RunMetrics;
 use crate::runner::Runner;
+use crate::scenario;
 use crate::table::TextTable;
-use crate::{parallel, scenario};
 use dram_sim::{RowAddr, WeakCellSpec};
 use rh_hwmodel::Technique;
 use tivapromi::{TivaConfig, TivaVariant};
@@ -51,50 +53,32 @@ pub fn run(scale: &ExperimentScale) -> Vec<WeakDramResult> {
         c.windows = c.windows.min(2);
         c
     };
-    let jobs: Vec<(Technique, u32, u64)> = Technique::TABLE3
-        .iter()
-        .flat_map(|&t| {
-            THRESHOLDS
-                .iter()
-                .flat_map(move |&th| (1..=u64::from(scale.seeds.max(2))).map(move |s| (t, th, s)))
-        })
-        .collect();
-    let runs = parallel::map(jobs, |(t, threshold, seed)| {
-        let mut config = base.clone();
-        // Weaken the DRAM through the per-row weak-cell model: a flat
-        // map at `threshold` is bit-identical to the classic uniform
-        // threshold (pinned by `flat_map_reproduces_uniform_threshold`),
-        // and keeps this sweep on the same code path as the
-        // heterogeneous sampled maps used by the exploit subsystem.
-        config.flip_threshold = threshold;
-        config.weak_cells = WeakCellSpec::Flat { threshold };
-        let trace = scenario::flooding(&config, RowAddr(1));
-        let metrics = Runner::new(config.clone())
-            .technique(t)
-            .seed(seed)
-            .run(trace);
-        (t, threshold, metrics)
-    });
-
-    Technique::TABLE3
+    let cells: Vec<(Technique, u32)> = Technique::TABLE3
         .iter()
         .flat_map(|&t| THRESHOLDS.iter().map(move |&th| (t, th)))
-        .map(|(t, th)| {
-            let cell: Vec<_> = runs
-                .iter()
-                .filter(|(rt, rth, _)| *rt == t && *rth == th)
-                .collect();
-            WeakDramResult {
-                technique: t,
-                threshold: th,
-                flips: cell.iter().map(|(_, _, m)| m.flips).sum(),
-                margin: cell
-                    .iter()
-                    .map(|(_, _, m)| m.attack_margin())
-                    .fold(0.0, f64::max),
-            }
-        })
-        .collect()
+        .collect();
+    sweep(
+        &cells,
+        scale.seeds.max(2),
+        |&(t, threshold), seed| {
+            let mut config = base.clone();
+            // Weaken the DRAM through the per-row weak-cell model: a flat
+            // map at `threshold` is bit-identical to the classic uniform
+            // threshold (pinned by `flat_map_reproduces_uniform_threshold`),
+            // and keeps this sweep on the same code path as the
+            // heterogeneous sampled maps used by the exploit subsystem.
+            config.flip_threshold = threshold;
+            config.weak_cells = WeakCellSpec::Flat { threshold };
+            let trace = scenario::flooding(&config, RowAddr(1));
+            Runner::new(config).technique(t).seed(seed).run(trace)
+        },
+        |&(t, threshold), runs| WeakDramResult {
+            technique: t,
+            threshold,
+            flips: total_flips(&runs),
+            margin: worst_margin(&runs),
+        },
+    )
 }
 
 /// Outcome of the `P_base` re-tuning sweep for LoPRoMi at the weakest
@@ -121,41 +105,30 @@ pub fn retune(scale: &ExperimentScale) -> Vec<RetuneResult> {
         c.weak_cells = WeakCellSpec::Flat { threshold: 16_384 };
         c
     };
-    let jobs: Vec<(u32, u64)> = [23u32, 21, 19, 17]
-        .iter()
-        .flat_map(|&e| (1..=u64::from(scale.seeds.max(2))).map(move |s| (e, s)))
-        .collect();
-    let runs = parallel::map(jobs, |(exponent, seed)| {
-        let tiva = TivaConfig::paper(&base.geometry).with_p_base_exponent(exponent);
-        let runner = Runner::new(base.clone())
-            .technique((TivaVariant::LoPromi, tiva))
-            .seed(seed);
-        // Flooding for safety…
-        let flood = runner.run(scenario::flooding(&base, RowAddr(1)));
-        // …and the mixed trace for the overhead price.
-        let mix = runner.run(scenario::paper_mix(&base, seed));
-        (exponent, flood, mix)
-    });
-
-    [23u32, 21, 19, 17]
-        .iter()
-        .map(|&e| {
-            let cell: Vec<_> = runs.iter().filter(|(re, _, _)| *re == e).collect();
+    sweep(
+        &[23u32, 21, 19, 17],
+        scale.seeds.max(2),
+        |&exponent, seed| {
+            let tiva = TivaConfig::paper(&base.geometry).with_p_base_exponent(exponent);
+            let runner = Runner::new(base.clone())
+                .technique((TivaVariant::LoPromi, tiva))
+                .seed(seed);
+            // Flooding for safety…
+            let flood = runner.run(scenario::flooding(&base, RowAddr(1)));
+            // …and the mixed trace for the overhead price.
+            let mix = runner.run(scenario::paper_mix(&base, seed));
+            (flood, mix)
+        },
+        |&exponent, runs| {
+            let (flood, mix): (Vec<_>, Vec<_>) = runs.into_iter().unzip();
             RetuneResult {
-                exponent: e,
-                flips: cell.iter().map(|(_, f, _)| f.flips).sum(),
-                margin: cell
-                    .iter()
-                    .map(|(_, f, _)| f.attack_margin())
-                    .fold(0.0, f64::max),
-                overhead: cell
-                    .iter()
-                    .map(|(_, _, m)| m.overhead_percent())
-                    .sum::<f64>()
-                    / cell.len() as f64,
+                exponent,
+                flips: total_flips(&flood),
+                margin: worst_margin(&flood),
+                overhead: mean_std(&mix, RunMetrics::overhead_percent).mean,
             }
-        })
-        .collect()
+        },
+    )
 }
 
 /// Renders the threshold sweep.

@@ -4,23 +4,11 @@
 //! engine wiring *trace → mitigation → DRAM device*, metric collection
 //! (activation overhead, false-positive rate, bit flips, attack
 //! margins), multi-seed statistics, and one experiment module per table
-//! and figure:
+//! and figure.
 //!
-//! | Module | Reproduces |
-//! |---|---|
-//! | [`experiments::table1`] | Table I — simulated system specification |
-//! | [`experiments::trace_stats`] | Table I — synthetic trace calibration |
-//! | [`experiments::table2`] | Table II — FSM clock cycles |
-//! | [`experiments::fig4`] | Fig. 4 — table size vs. activation overhead |
-//! | [`experiments::table3`] | Table III — LUTs, vulnerability, overhead μ±σ, FPR |
-//! | [`experiments::reliability`] | §IV — no attack succeeds under any of the 9 techniques |
-//! | [`experiments::refresh_policies`] | §IV — four refresh-order policies |
-//! | [`experiments::flooding`] | §IV — flooding first-trigger points |
-//! | [`experiments::vulnerability`] | Table III "Vulnerable" column evidence |
-//! | [`experiments::ablation`] | design-choice sweeps (history size, `P_base`, lock threshold) |
-//!
-//! The `rh` binary runs them: `rh fig4 paper` prints one, `rh all quick`
-//! every one in [`experiments::ALL`], `rh list` names them.
+//! [`experiments::ALL`] is the one list of experiments, each with the
+//! table or figure it reproduces.  The `rh` binary runs them: `rh list`
+//! names them, `rh fig4 paper` prints one and `rh all quick` every one.
 //!
 //! ## Example
 //!

@@ -2,9 +2,10 @@
 //! fleet campaigns.
 //!
 //! The simulator itself is single-threaded per run; the harness
-//! parallelises across independent jobs — (technique, seed) sweeps,
-//! per-bank shards and fleet devices — with plain `std::thread` scoped
-//! threads, so no extra dependencies are needed.
+//! parallelises across independent jobs — experiment grids (one device
+//! per cell, one job per seed), per-bank shards and fleet devices —
+//! with plain `std::thread` scoped threads, so no extra dependencies
+//! are needed.
 //!
 //! There is one pool, [`run_in_order`].  Its jobs are grouped into
 //! *devices*: workers claim `(device, job)` pairs from a lock-free
