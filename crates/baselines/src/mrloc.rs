@@ -11,15 +11,41 @@
 //! positive rate but ends up with a higher or equal number of extra
 //! activations compared to PARA" and stays vulnerable to the same
 //! adaptive patterns.
+//!
+//! ## The lane kernel reads the queue only when a draw can fire
+//!
+//! Every victim candidate draws one stream word and fires when
+//! `(word >> 11) < draw::threshold(p)`, where `p` falls with the
+//! candidate's queue age.  A word at or above the bound of the largest
+//! probability cannot fire at any age.  So the kernel draws an
+//! activation's words first, and when none can fire it only appends the
+//! activated row to a per-bank touch log — about 998 activations in 1000
+//! at the paper's probabilities.  When a word passes the bound, or the
+//! log fills, the queue is brought up to date (the logged victims by last
+//! touch, then the old queue's untouched rows, cut to `queue_entries`)
+//! and the activation is decided on it as the eager path decides it.
+//! Three facts keep every decision, queue and stream position equal to
+//! the eager path:
+//!
+//! - **Bound.**  The probability is monotone in age, so its age-0 value
+//!   is the largest, and `draw::threshold` is monotone and exact; a word
+//!   at or above the age-0 bound fails the gate at every age.
+//! - **Stream.**  [`MrLoc::new`] requires `0 < min ≤ max < 1`, where
+//!   `random_bool` always consumes exactly one word, so drawing before
+//!   the age is known moves no stream position.
+//! - **Replay.**  An untouched row only ever moves back in a
+//!   move-to-front queue, so cutting the queue once after the log equals
+//!   cutting it after every touch.
+//!
+//! [`Mitigation::on_activate`] stays the eager reference: it scans and
+//! requeues every candidate.
 
 use dram_sim::{BankId, Geometry, RowAddr};
 use mem_trace::EventBatch;
-use rand::rngs::StdRng;
-use rand::RngExt;
+use rand::{RngCore, RngExt};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::ops::Range;
-use tivapromi::{ActionSink, BankRngs, Mitigation, MitigationAction};
+use tivapromi::{draw, ActionSink, BankRngs, Mitigation, MitigationAction};
 
 /// Configuration of an [`MrLoc`] instance.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -50,46 +76,199 @@ impl MrLocConfig {
             min_probability: 0.0002,
         }
     }
+
+    /// The locality-weighted trigger probability of a victim at queue
+    /// position `age` (0 = newest; `None` = not queued).  It never grows
+    /// with age, so `Some(0)` gives the largest value.
+    fn probability(&self, age: Option<usize>) -> f64 {
+        match age {
+            Some(age) => {
+                let span = self.max_probability - self.min_probability;
+                let weight = 1.0 - age as f64 / self.queue_entries as f64;
+                self.min_probability + span * weight
+            }
+            None => self.min_probability,
+        }
+    }
 }
 
-/// Slots in a [`QueueFilter`]; a power of two so the hash is a mask.
-const FILTER_SLOTS: usize = 1024;
+/// Activations the lane kernel logs per bank before it brings the
+/// queue up to date: 2 KiB per bank.
+const LOG_ENTRIES: usize = 512;
 
-/// Per-bank counting membership filter over the victim queue: slot
-/// `row mod FILTER_SLOTS` counts the queued rows hashing there, so a
-/// zero slot *proves* the row is absent.  The lane kernel uses that
-/// proof to skip the queue scan for the dominant miss case; a colliding
-/// nonzero slot merely falls back to the scan the unfiltered path would
-/// have paid anyway, so decisions never change.  `u16` counts cannot
-/// overflow: [`MrLoc::new`] bounds the queue (every queued row holds
-/// one count) to `u16::MAX` entries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct QueueFilter(Box<[u16; FILTER_SLOTS]>);
+/// The victim candidates of an activation of `row`, in decision order:
+/// the row below, then the row above, each if the bank has it.  MRLoc
+/// assumes neighbors are row±1 (the paper criticises exactly this
+/// assumption in §II — remapped rows escape it).
+fn victims(row: RowAddr, rows_per_bank: u32) -> [Option<RowAddr>; 2] {
+    [
+        (row.0 > 0).then(|| RowAddr(row.0 - 1)),
+        (row.0 + 1 < rows_per_bank).then(|| RowAddr(row.0 + 1)),
+    ]
+}
 
-impl QueueFilter {
-    fn new() -> Self {
-        QueueFilter(Box::new([0; FILTER_SLOTS]))
+/// One bank's victim queue and the lane kernel's touch log.
+#[derive(Debug, PartialEq, Eq)]
+struct VictimQueue {
+    /// Queued victims, newest first.
+    rows: Vec<RowAddr>,
+    /// Activated rows whose victims are not yet moved to the front,
+    /// oldest first.
+    log: Vec<RowAddr>,
+}
+
+impl VictimQueue {
+    fn new(entries: usize) -> Self {
+        VictimQueue {
+            rows: Vec::with_capacity(entries),
+            log: Vec::with_capacity(LOG_ENTRIES),
+        }
     }
 
-    #[inline]
-    fn slot(row: RowAddr) -> usize {
-        row.0 as usize & (FILTER_SLOTS - 1)
+    /// The eager decision: reads the victim's age, moves it to the front
+    /// (evicting the oldest row of a full queue) and returns the
+    /// probability to draw against.
+    fn touch(&mut self, victim: RowAddr, config: &MrLocConfig) -> f64 {
+        let age = self.rows.iter().position(|&r| r == victim);
+        match age {
+            Some(age) => self.rows[..=age].rotate_right(1),
+            None => {
+                if self.rows.len() == config.queue_entries {
+                    self.rows.pop();
+                }
+                self.rows.insert(0, victim);
+            }
+        }
+        config.probability(age)
     }
 
+    /// Logs an activation of `row` whose draws cannot fire.
     #[inline]
-    fn add(&mut self, row: RowAddr) {
-        self.0[Self::slot(row)] += 1;
+    fn defer(&mut self, row: RowAddr, rebuild: &mut Rebuild, config: &MrLocConfig) {
+        self.log.push(row);
+        if self.log.len() == LOG_ENTRIES {
+            self.apply_log(rebuild, config);
+        }
     }
 
-    #[inline]
-    fn remove(&mut self, row: RowAddr) {
-        self.0[Self::slot(row)] -= 1;
+    /// Applies the log as if each activation's victims had been moved to
+    /// the front in turn: the logged victims by last touch, newest first,
+    /// then the old queue's untouched rows, cut to `queue_entries`.  The
+    /// walk goes newest first, so an activation older than one of the
+    /// same row finds both its victims placed and is skipped.
+    fn apply_log(&mut self, rebuild: &mut Rebuild, config: &MrLocConfig) {
+        if self.log.is_empty() {
+            return;
+        }
+        let entries = config.queue_entries;
+        rebuild.placed.clear();
+        rebuild.walked.clear();
+        'log: for &row in self.log.iter().rev() {
+            if !rebuild.walked.insert(row) {
+                continue;
+            }
+            for victim in victims(row, config.rows_per_bank)
+                .into_iter()
+                .rev()
+                .flatten()
+            {
+                if rebuild.rows.len() == entries {
+                    break 'log;
+                }
+                rebuild.place(victim);
+            }
+        }
+        for &row in &self.rows {
+            if rebuild.rows.len() == entries {
+                break;
+            }
+            rebuild.place(row);
+        }
+        std::mem::swap(&mut self.rows, &mut rebuild.rows);
+        rebuild.rows.clear();
+        self.log.clear();
+    }
+}
+
+/// An open-addressed set of rows that empties in O(1): a slot is live
+/// when its stamp is the current one.
+#[derive(Debug)]
+struct RowSet {
+    slots: Vec<(RowAddr, u32)>,
+    stamp: u32,
+    /// Fibonacci-hash shift: keeps the top `log2(slots.len())` bits.
+    shift: u32,
+}
+
+impl RowSet {
+    /// A set for at most `rows` rows between clears; twice as many slots
+    /// keep the probes short.
+    fn new(rows: usize) -> Self {
+        let slots = (2 * rows).next_power_of_two();
+        RowSet {
+            slots: vec![(RowAddr(0), 0); slots],
+            stamp: 1,
+            shift: u32::BITS - slots.trailing_zeros(),
+        }
     }
 
-    /// `false` is definitive absence; `true` means "scan the queue".
+    fn clear(&mut self) {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.slots.fill((RowAddr(0), 0));
+            self.stamp = 1;
+        }
+    }
+
+    /// Adds `row`; returns whether it was absent.
     #[inline]
-    fn may_contain(&self, row: RowAddr) -> bool {
-        self.0[Self::slot(row)] != 0
+    fn insert(&mut self, row: RowAddr) -> bool {
+        let mask = self.slots.len() - 1;
+        let mut i = (row.0.wrapping_mul(0x9E37_79B9) >> self.shift) as usize;
+        loop {
+            let slot = &mut self.slots[i];
+            if slot.1 != self.stamp {
+                *slot = (row, self.stamp);
+                return true;
+            }
+            if slot.0 == row {
+                return false;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+}
+
+/// The buffers [`VictimQueue::apply_log`] rebuilds a queue in.
+#[derive(Debug)]
+struct Rebuild {
+    /// The new queue.
+    rows: Vec<RowAddr>,
+    /// The rows in `rows`.
+    placed: RowSet,
+    /// The logged rows already walked: a later activation of a row has
+    /// already placed both its victims.
+    walked: RowSet,
+}
+
+impl Rebuild {
+    fn new(entries: usize) -> Self {
+        Rebuild {
+            rows: Vec::with_capacity(entries),
+            placed: RowSet::new(entries),
+            // A walked row places a victim (at most `entries` do) or
+            // finds its victims placed: its lower one, which bounds such
+            // rows by `entries`, or, for row 0, row 1.
+            walked: RowSet::new(2 * entries + 1),
+        }
+    }
+
+    /// Appends `row` to the new queue unless it is already there.
+    #[inline]
+    fn place(&mut self, row: RowAddr) {
+        if self.placed.insert(row) {
+            self.rows.push(row);
+        }
     }
 }
 
@@ -112,11 +291,11 @@ impl QueueFilter {
 #[derive(Debug)]
 pub struct MrLoc {
     config: MrLocConfig,
-    /// Per-bank victim queue; front = newest.
-    queues: Vec<VecDeque<RowAddr>>,
-    /// Per-bank membership filters mirroring `queues` — every mutation
-    /// path keeps them coherent so the kernel's scan skip stays sound.
-    filters: Vec<QueueFilter>,
+    queues: Vec<VictimQueue>,
+    rebuild: Rebuild,
+    /// `draw::threshold` of the age-0 probability: a word at or above it
+    /// cannot fire at any queue age.
+    bound: u64,
     rngs: BankRngs,
 }
 
@@ -125,23 +304,26 @@ impl MrLoc {
     ///
     /// # Panics
     ///
-    /// Panics if the queue size is zero or the probabilities are not in
-    /// `[0, 1]` with `min ≤ max`.
+    /// Panics if the queue size is zero or the probabilities do not
+    /// satisfy `0 < min ≤ max < 1`.  At 0 or 1 `random_bool` decides
+    /// without drawing, so the number of stream words used would depend
+    /// on queue age, and the lane kernel, which draws before it knows
+    /// the age, would shift the stream.
     pub fn new(config: MrLocConfig, seed: u64) -> Self {
         assert!(config.queue_entries > 0, "queue must be nonempty");
         assert!(
-            config.queue_entries <= usize::from(u16::MAX),
-            "queue must fit the membership filter's u16 counts"
-        );
-        assert!(
-            (0.0..=1.0).contains(&config.max_probability)
-                && (0.0..=1.0).contains(&config.min_probability)
-                && config.min_probability <= config.max_probability,
-            "probabilities must satisfy 0 ≤ min ≤ max ≤ 1"
+            0.0 < config.min_probability
+                && config.min_probability <= config.max_probability
+                && config.max_probability < 1.0,
+            "probabilities must satisfy 0 < min ≤ max < 1: at 0 or 1 a draw uses no \
+             stream word, so stream positions would depend on queue age"
         );
         MrLoc {
-            queues: (0..config.banks).map(|_| VecDeque::new()).collect(),
-            filters: (0..config.banks).map(|_| QueueFilter::new()).collect(),
+            queues: (0..config.banks)
+                .map(|_| VictimQueue::new(config.queue_entries))
+                .collect(),
+            rebuild: Rebuild::new(config.queue_entries),
+            bound: draw::threshold(config.probability(Some(0))),
             rngs: BankRngs::with_banks(seed, config.banks),
             config,
         }
@@ -164,108 +346,13 @@ impl MrLoc {
         actions: &mut Vec<MitigationAction>,
     ) {
         let queue = &mut self.queues[bank.index()];
-        let filter = &mut self.filters[bank.index()];
-        if victim_fires(queue, filter, self.rngs.get(bank), &self.config, victim) {
+        // Activations a lane kernel left in the log come first.
+        queue.apply_log(&mut self.rebuild, &self.config);
+        let probability = queue.touch(victim, &self.config);
+        if self.rngs.get(bank).random_bool(probability) {
             actions.push(MitigationAction::RefreshRow { bank, row: victim });
         }
     }
-}
-
-/// Re-inserts `victim` at the queue front given its scan result, keeps
-/// the membership filter coherent, and draws — the shared tail of both
-/// decision paths.  A found victim moves without a net filter change
-/// (one removal, one re-insertion); a miss adds it and removes whatever
-/// the bounded queue evicts.
-#[inline]
-fn requeue_and_draw(
-    queue: &mut VecDeque<RowAddr>,
-    filter: &mut QueueFilter,
-    rng: &mut StdRng,
-    config: &MrLocConfig,
-    victim: RowAddr,
-    position: Option<usize>,
-    probability: f64,
-) -> bool {
-    if let Some(pos) = position {
-        queue.remove(pos);
-    } else {
-        filter.add(victim);
-    }
-    queue.push_front(victim);
-    if queue.len() > config.queue_entries {
-        let evicted = *queue.back().expect("queue was just pushed to");
-        filter.remove(evicted);
-        queue.truncate(config.queue_entries);
-    }
-
-    rng.random_bool(probability)
-}
-
-/// One victim-candidate lookup: computes the locality-weighted
-/// probability, updates the queue, and draws.  Shared by the scalar
-/// path and the lane kernel so both consume the per-bank stream
-/// identically (one word per candidate).
-fn victim_fires(
-    queue: &mut VecDeque<RowAddr>,
-    filter: &mut QueueFilter,
-    rng: &mut StdRng,
-    config: &MrLocConfig,
-    victim: RowAddr,
-) -> bool {
-    // Weighted probability: age 0 (front) → max; beyond the queue →
-    // min.
-    let probability = match queue.iter().position(|&r| r == victim) {
-        Some(age) => {
-            let span = config.max_probability - config.min_probability;
-            let weight = 1.0 - age as f64 / config.queue_entries as f64;
-            config.min_probability + span * weight
-        }
-        None => config.min_probability,
-    };
-    // Re-insert the victim at the front (most recent), deduplicated —
-    // the paper's two-step formulation, scanning again for the dedup.
-    let position = queue.iter().position(|&r| r == victim);
-    requeue_and_draw(queue, filter, rng, config, victim, position, probability)
-}
-
-/// Kernel-path victim decision: behaviorally identical to
-/// [`victim_fires`] — same probability formula, same queue mutations,
-/// same single stream draw — but engineered around the scans that
-/// dominate MRLoc's per-event cost.  The membership filter rejects the
-/// dominant miss case without touching the queue; a possible hit pays
-/// *one* merged scan (age lookup and dedup position search for the same
-/// victim) over the deque's contiguous slices.  The scalar reference
-/// keeps the paper's two-step formulation.
-fn victim_fires_merged(
-    queue: &mut VecDeque<RowAddr>,
-    filter: &mut QueueFilter,
-    rng: &mut StdRng,
-    config: &MrLocConfig,
-    victim: RowAddr,
-) -> bool {
-    let position = if filter.may_contain(victim) {
-        let (front, back) = queue.as_slices();
-        front.iter().position(|&r| r == victim).or_else(
-            // Same index space as `queue.iter().position`: the back
-            // slice continues where the front slice ends.
-            || {
-                back.iter()
-                    .position(|&r| r == victim)
-                    .map(|p| p + front.len())
-            },
-        )
-    } else {
-        None
-    };
-    let probability = match position {
-        Some(age) => {
-            let span = config.max_probability - config.min_probability;
-            let weight = 1.0 - age as f64 / config.queue_entries as f64;
-            config.min_probability + span * weight
-        }
-        None => config.min_probability,
-    };
-    requeue_and_draw(queue, filter, rng, config, victim, position, probability)
 }
 
 impl Mitigation for MrLoc {
@@ -274,13 +361,11 @@ impl Mitigation for MrLoc {
     }
 
     fn on_activate(&mut self, bank: BankId, row: RowAddr, actions: &mut Vec<MitigationAction>) {
-        // MRLoc assumes neighbors are row±1 (the paper criticises exactly
-        // this assumption in §II — remapped rows escape it).
-        if row.0 > 0 {
-            self.handle_victim(bank, RowAddr(row.0 - 1), actions);
-        }
-        if row.0 + 1 < self.config.rows_per_bank {
-            self.handle_victim(bank, RowAddr(row.0 + 1), actions);
+        for victim in victims(row, self.config.rows_per_bank)
+            .into_iter()
+            .flatten()
+        {
+            self.handle_victim(bank, victim, actions);
         }
     }
 
@@ -289,31 +374,35 @@ impl Mitigation for MrLoc {
         reason = "event tags: segment indices are bounded by the batch length, far below u32::MAX"
     )]
     fn on_batch(&mut self, batch: &EventBatch, range: Range<usize>, sink: &mut ActionSink) {
-        // Lane kernel: the trigger probability depends on the queue
-        // state at each candidate, so the draws cannot be prefetched —
-        // instead the queue, filter and stream lookups are hoisted once
-        // per bank run, the kernel walks the row column directly, and
-        // each candidate pays a filter probe plus at most one merged
-        // queue scan ([`victim_fires_merged`]) instead of the reference
-        // path's two scans.
-        let rows_per_bank = self.config.rows_per_bank;
+        // Lane kernel: the queue and stream are resolved once per bank
+        // run, each activation draws its candidates' words first, and
+        // only an activation with a word that can fire reads the queue;
+        // any other is only logged (module docs).
+        let MrLoc {
+            config,
+            queues,
+            rebuild,
+            bound,
+            rngs,
+        } = self;
         let (_, rows, _) = batch.columns();
         for (bank, run) in batch.bank_runs(range) {
-            let queue = &mut self.queues[bank.index()];
-            let filter = &mut self.filters[bank.index()];
-            let rng = self.rngs.get(bank);
+            let queue = &mut queues[bank.index()];
+            let rng = rngs.get(bank);
             for i in run {
-                let row = rows[i];
-                if row.0 > 0 {
-                    let victim = RowAddr(row.0 - 1);
-                    if victim_fires_merged(queue, &mut *filter, &mut *rng, &self.config, victim) {
-                        sink.push(i as u32, MitigationAction::RefreshRow { bank, row: victim });
-                    }
+                let candidates = victims(rows[i], config.rows_per_bank);
+                // One word per candidate, in decision order.
+                let words = candidates.map(|victim| victim.map(|_| rng.next_u64()));
+                if words.iter().flatten().all(|&word| word >> 11 >= *bound) {
+                    queue.defer(rows[i], rebuild, config);
+                    continue;
                 }
-                if row.0 + 1 < rows_per_bank {
-                    let victim = RowAddr(row.0 + 1);
-                    if victim_fires_merged(queue, &mut *filter, &mut *rng, &self.config, victim) {
-                        sink.push(i as u32, MitigationAction::RefreshRow { bank, row: victim });
+                queue.apply_log(rebuild, config);
+                for (victim, word) in candidates.into_iter().zip(words) {
+                    if let (Some(victim), Some(word)) = (victim, word) {
+                        if draw::gate(word, queue.touch(victim, config)) {
+                            sink.push(i as u32, MitigationAction::RefreshRow { bank, row: victim });
+                        }
                     }
                 }
             }
@@ -341,8 +430,8 @@ mod tests {
         let mut m = mrloc();
         let mut actions = Vec::new();
         m.on_activate(BankId(0), RowAddr(100), &mut actions);
-        assert_eq!(m.queues[0].front(), Some(&RowAddr(101)));
-        assert!(m.queues[0].contains(&RowAddr(99)));
+        assert_eq!(m.queues[0].rows.first(), Some(&RowAddr(101)));
+        assert!(m.queues[0].rows.contains(&RowAddr(99)));
     }
 
     #[test]
@@ -352,11 +441,12 @@ mod tests {
         for r in 0..200u32 {
             m.on_activate(BankId(0), RowAddr(1 + r % 80), &mut actions);
         }
-        assert!(m.queues[0].len() <= m.config.queue_entries);
-        let mut sorted: Vec<_> = m.queues[0].iter().collect();
+        let rows = &m.queues[0].rows;
+        assert!(rows.len() <= m.config.queue_entries);
+        let mut sorted: Vec<_> = rows.iter().collect();
         sorted.sort_unstable();
         sorted.dedup();
-        assert_eq!(sorted.len(), m.queues[0].len(), "duplicates in queue");
+        assert_eq!(sorted.len(), rows.len(), "duplicates in queue");
     }
 
     #[test]
@@ -435,38 +525,42 @@ mod tests {
         }
         assert_eq!(drained, expected);
         assert!(!drained.is_empty());
+        for queue in &mut kernel.queues {
+            queue.apply_log(&mut kernel.rebuild, &cfg);
+        }
         assert_eq!(kernel.queues, scalar.queues);
-        assert_eq!(kernel.filters, scalar.filters);
     }
 
     #[test]
-    fn filter_mirrors_queue_membership() {
-        // After arbitrary mixed traffic — churn past the queue bound,
-        // repeats, both decision paths — every filter slot must count
-        // exactly the queued rows hashing there, including rows whose
-        // addresses collide modulo the filter size.
-        let mut m = MrLoc::paper(&Geometry::paper().with_banks(2), 7);
-        let mut actions = Vec::new();
-        for i in 0..5000u32 {
-            let row = RowAddr(1 + (i * 37) % 3000);
-            m.on_activate(BankId(i % 2), row, &mut actions);
-        }
-        use mem_trace::TraceEvent;
-        let events: Vec<TraceEvent> = (0..512)
-            .map(|i| TraceEvent::benign(BankId(i % 2), RowAddr(1 + (i * 13) % 2100)))
-            .collect();
-        let mut batch = EventBatch::new();
-        batch.push_interval(&events);
-        let mut sink = ActionSink::new();
-        m.on_batch(&batch, batch.segment(0), &mut sink);
-
-        for (queue, filter) in m.queues.iter().zip(&m.filters) {
-            let mut expected = QueueFilter::new();
-            for &row in queue {
-                expected.add(row);
+    fn log_replay_equals_eager_requeue() {
+        // Churn past the queue bound with repeats and both edge rows:
+        // replaying the log in one step leaves the queue the eager path
+        // builds touch by touch, whether the log is applied early or
+        // fills (the last 2000 activations fill it three times).
+        let mut cfg = MrLocConfig::paper(&Geometry::paper().with_banks(1));
+        cfg.rows_per_bank = 40;
+        cfg.queue_entries = 8;
+        let mut eager = VictimQueue::new(cfg.queue_entries);
+        let mut lazy = VictimQueue::new(cfg.queue_entries);
+        let mut rebuild = Rebuild::new(cfg.queue_entries);
+        for i in 0..3000u32 {
+            let row = RowAddr(if i % 7 == 3 {
+                39
+            } else {
+                (i * 5) % 13 + (i / 400) * 3
+            });
+            for victim in victims(row, cfg.rows_per_bank).into_iter().flatten() {
+                let _ = eager.touch(victim, &cfg);
             }
-            assert_eq!(filter, &expected);
+            lazy.defer(row, &mut rebuild, &cfg);
+            if i < 1000 && i % 37 == 0 {
+                lazy.apply_log(&mut rebuild, &cfg);
+                assert_eq!(lazy.rows, eager.rows, "after activation {i}");
+            }
         }
+        lazy.apply_log(&mut rebuild, &cfg);
+        assert_eq!(lazy.rows, eager.rows);
+        assert!(lazy.log.is_empty() && rebuild.rows.is_empty());
     }
 
     #[test]
@@ -475,6 +569,22 @@ mod tests {
         let mut cfg = MrLocConfig::paper(&Geometry::paper());
         cfg.min_probability = 0.5;
         cfg.max_probability = 0.1;
+        let _ = MrLoc::new(cfg, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "a draw uses no stream word")]
+    fn zero_min_probability_rejected() {
+        let mut cfg = MrLocConfig::paper(&Geometry::paper());
+        cfg.min_probability = 0.0;
+        let _ = MrLoc::new(cfg, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "a draw uses no stream word")]
+    fn unit_max_probability_rejected() {
+        let mut cfg = MrLocConfig::paper(&Geometry::paper());
+        cfg.max_probability = 1.0;
         let _ = MrLoc::new(cfg, 1);
     }
 }

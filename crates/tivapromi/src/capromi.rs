@@ -11,6 +11,14 @@
 //!
 //! The extra activations decided at interval end are issued during the
 //! following refresh interval.
+//!
+//! The history table changes only in `on_refresh_interval`, and the
+//! counter table is drained there too, so within an interval a row's
+//! history link cannot change after its counter entry is made.  The lane
+//! kernel therefore searches the history only for a row that has no
+//! counter entry yet ([`CounterTable::observe_linking_new`]).  The
+//! scalar [`Mitigation::on_activate`] stays the eager reference and
+//! searches on every activation.
 
 use crate::bank_rng::BankRngs;
 use crate::config::TivaConfig;
@@ -128,16 +136,16 @@ impl Mitigation for CaPromi {
         // interval end — so the batched loop skips the action-tagging
         // bookkeeping of the default fan-out entirely.  Per bank run,
         // the history/counter/rng lookups are hoisted once and the
-        // kernel walks the row column directly.
+        // kernel walks the row column directly; the history is searched
+        // only for a row without a counter entry (module docs).
         let (_, rows, _) = batch.columns();
         for (bank, run) in batch.bank_runs(range) {
-            let history = &mut self.histories[bank.index()];
+            let history = &self.histories[bank.index()];
             let counters = &mut self.counters[bank.index()];
             let rng = self.rngs.get(bank);
             for i in run {
                 let row = rows[i];
-                let slot = history.position(row);
-                let _ = counters.observe(row, slot, &mut *rng);
+                let _ = counters.observe_linking_new(row, || history.position(row), &mut *rng);
             }
         }
     }

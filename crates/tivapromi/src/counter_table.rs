@@ -99,11 +99,7 @@ impl CounterTable {
         history_slot: Option<usize>,
         rng: &mut StdRng,
     ) -> InsertOutcome {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.row == row) {
-            e.count += 1;
-            if e.count >= self.lock_threshold {
-                e.locked = true;
-            }
+        if let Some(e) = self.increment(row) {
             // A history link discovered later (e.g. a trigger happened
             // since insertion) refreshes the stored link.
             if history_slot.is_some() {
@@ -111,7 +107,46 @@ impl CounterTable {
             }
             return InsertOutcome::Incremented;
         }
+        self.insert(row, history_slot, rng)
+    }
 
+    /// [`CounterTable::observe`] for a caller whose history table cannot
+    /// change while the row's entry lives: `link` runs only when the row
+    /// has no entry yet, because an existing entry's link is then
+    /// already current.  CaPRoMi qualifies: its history changes only at
+    /// interval ends, where the table is drained.
+    pub fn observe_linking_new(
+        &mut self,
+        row: RowAddr,
+        link: impl FnOnce() -> Option<usize>,
+        rng: &mut StdRng,
+    ) -> InsertOutcome {
+        if self.increment(row).is_some() {
+            return InsertOutcome::Incremented;
+        }
+        self.insert(row, link(), rng)
+    }
+
+    /// Counts one more activation of `row` (locking it at the threshold)
+    /// if the row has an entry, and returns that entry.
+    fn increment(&mut self, row: RowAddr) -> Option<&mut CounterEntry> {
+        let lock_threshold = self.lock_threshold;
+        let e = self.entries.iter_mut().find(|e| e.row == row)?;
+        e.count += 1;
+        if e.count >= lock_threshold {
+            e.locked = true;
+        }
+        Some(e)
+    }
+
+    /// Inserts an untracked `row`: into a free slot, or over a randomly
+    /// chosen unlocked entry of a full table.
+    fn insert(
+        &mut self,
+        row: RowAddr,
+        history_slot: Option<usize>,
+        rng: &mut StdRng,
+    ) -> InsertOutcome {
         let fresh = CounterEntry {
             row,
             count: 1,
@@ -287,6 +322,24 @@ mod tests {
         // A later lookup miss does not erase the link.
         t.observe(RowAddr(1), None, &mut rng);
         assert_eq!(t.entry(RowAddr(1)).unwrap().history_slot, Some(7));
+    }
+
+    #[test]
+    fn linking_new_searches_only_on_insertion() {
+        let mut rng = rng();
+        let mut t = CounterTable::new(4, 10);
+        let mut searches = 0;
+        let mut link = |slot| {
+            searches += 1;
+            slot
+        };
+        t.observe_linking_new(RowAddr(1), || link(Some(2)), &mut rng);
+        t.observe_linking_new(RowAddr(1), || link(None), &mut rng);
+        t.observe_linking_new(RowAddr(3), || link(None), &mut rng);
+        assert_eq!(searches, 2);
+        let e = t.entry(RowAddr(1)).unwrap();
+        assert_eq!((e.count, e.history_slot), (2, Some(2)));
+        assert_eq!(t.entry(RowAddr(3)).unwrap().history_slot, None);
     }
 
     #[test]

@@ -93,6 +93,10 @@ impl HistoryTable {
 
     /// Like [`HistoryTable::lookup`], but also registers the access for
     /// LRU recency — the search the FSM performs on every activation.
+    ///
+    /// The recency update matters only under [`HistoryPolicy::Lru`]:
+    /// FIFO never reads it, so under FIFO a caller that does not need the
+    /// answer may skip the search without changing any later result.
     pub fn search(&mut self, row: RowAddr) -> Option<u32> {
         match self.position(row) {
             Some(pos) => {

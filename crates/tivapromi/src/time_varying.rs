@@ -3,11 +3,23 @@
 //! All three share one engine (they use the same FSM in the paper,
 //! Fig. 2) and differ only in how the raw Eq. 1 weight is shaped in the
 //! "calculate weight" state.
+//!
+//! Each activation fires when its masked `P_base`-bit draw is below the
+//! row's shaped weight.  No shaped weight exceeds
+//! `RefInt.next_power_of_two()` (Eq. 1 stays below `RefInt`, and Eq. 2
+//! rounds `w + 1 ≤ RefInt` up to a power of two), so the lane kernel
+//! draws first and skips the history search and the weight lookup for a
+//! draw at or above that bound — at the paper's `2^-23` all but about
+//! 0.1 % of activations.  The skip changes no decision or stream
+//! position: every activation still takes one word.  Under
+//! [`HistoryPolicy::Lru`] the search also refreshes the row's recency,
+//! so with that policy it runs on every activation.  The scalar
+//! [`Mitigation::on_activate`] stays the eager reference.
 
 use crate::bank_rng::BankRngs;
 use crate::config::TivaConfig;
 use crate::draw;
-use crate::history::HistoryTable;
+use crate::history::{HistoryPolicy, HistoryTable};
 use crate::mitigation::{ActionSink, Mitigation, MitigationAction};
 use crate::weight::{linear_weight, log_weight};
 use dram_sim::{BankId, RowAddr};
@@ -235,18 +247,21 @@ impl Mitigation for TimeVarying {
         reason = "event tags: segment indices are bounded by the batch length, far below u32::MAX"
     )]
     fn on_batch(&mut self, batch: &EventBatch, range: Range<usize>, sink: &mut ActionSink) {
-        // Lane kernel: the interval clock, window length, mode and draw
-        // mask are constant across a whole segment and hoisted; the
-        // segment is walked in per-bank runs so the bank's history table
-        // is resolved once per run and its stream words arrive in one
-        // block refill (one word per event).  History searches stay
-        // sequential — the LRU mutates — but the shaped weight comes
-        // from the memoised slot vector.  State updates and stream
-        // positions match the scalar path exactly — the determinism
-        // contract depends on it.
+        // Lane kernel: the interval clock, window length, mode, draw
+        // mask and weight bound are constant across a whole segment and
+        // hoisted; the segment is walked in per-bank runs so the bank's
+        // history table is resolved once per run and its stream words
+        // arrive in one block refill (one word per event).  A draw at or
+        // above the bound cannot fire (module docs), so only a draw below
+        // it searches the history — or every draw under LRU, whose search
+        // mutates — and reads the memoised weight.  State updates and
+        // stream positions match the scalar path exactly — the
+        // determinism contract depends on it.
         let interval = self.interval;
         let config = self.config;
         let exponent = config.p_base_exponent;
+        let bound = u64::from(config.ref_int.next_power_of_two());
+        let lru = config.history_policy == HistoryPolicy::Lru;
         let mode = self.mode;
         let (_, rows, _) = batch.columns();
         for (bank, run) in batch.bank_runs(range) {
@@ -254,6 +269,13 @@ impl Mitigation for TimeVarying {
             let history = &mut self.histories[bank.index()];
             for (&word, i) in words.iter().zip(run) {
                 let row = rows[i];
+                let draw = draw::masked(word, exponent);
+                if draw >= bound {
+                    if lru {
+                        let _ = history.search(row);
+                    }
+                    continue;
+                }
                 let found = history.search(row);
                 let base = match found {
                     Some(base) => base,
@@ -263,7 +285,7 @@ impl Mitigation for TimeVarying {
                     self.slot_weights
                         .get(interval, base % config.ref_int, config.ref_int, mode);
                 let weight = if found.is_some() { hit_w } else { miss_w };
-                if draw::masked(word, exponent) < u64::from(weight) {
+                if draw < u64::from(weight) {
                     sink.push(i as u32, MitigationAction::ActivateNeighbors { bank, row });
                     history.record(row, interval);
                     self.triggers += 1;
@@ -462,6 +484,26 @@ mod tests {
             }
             assert_eq!(got, expected, "{mode:?} diverged");
             assert_eq!(scalar.trigger_count(), batched.trigger_count());
+        }
+    }
+
+    #[test]
+    fn kernel_weight_bound_is_tight() {
+        // The kernel skips draws at or above `RefInt.next_power_of_two()`:
+        // no shaped weight may exceed it, and LoPRoMi's reaches it.
+        for ref_int in [100u32, 128, 8192] {
+            let bound = ref_int.next_power_of_two();
+            let (mut linear, mut log) = (0, 0);
+            for interval in 0..ref_int {
+                // f_r = 0 gives every w once; the next slot gives the max.
+                for f_r in [0, (interval + 1) % ref_int] {
+                    let w = linear_weight(interval, f_r, ref_int);
+                    linear = linear.max(w);
+                    log = log.max(log_weight(w));
+                }
+            }
+            assert!(linear < bound, "RefInt {ref_int}");
+            assert_eq!(log, bound, "RefInt {ref_int}");
         }
     }
 

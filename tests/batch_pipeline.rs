@@ -14,11 +14,26 @@
 //! run degenerates to a single event (the lane kernels' worst case).
 //! One case lowers the flip threshold until the mix flips bits, so flip
 //! attribution through the chunked replay is pinned too.
+//!
+//! The kernels of MRLoc and the four TiVaPRoMi variants read their tables
+//! only when the answer can change the decision.  On the paper mix those
+//! slow paths are rare, so further cases drive each kernel where its
+//! skip binds often and can go wrong: MRLoc at high probabilities and
+//! across log fills, the time-varying variants at a `P_base` where the
+//! weight bound binds on half the draws (FIFO, and LRU with a small
+//! history), and CaPRoMi with rows re-activated after their triggers and
+//! a full counter table of locked entries.
 
 use dram_sim::{BackendSpec, BankId, Geometry, RowAddr};
 use proptest::prelude::*;
-use tivapromi_suite::harness::{engine, techniques, ExperimentScale, NullObserver, RunConfig};
+use tivapromi_suite::baselines::mrloc::{MrLoc, MrLocConfig};
+use tivapromi_suite::harness::{
+    engine, techniques, ExperimentScale, NullObserver, RunConfig, RunMetrics,
+};
 use tivapromi_suite::hwmodel::Technique;
+use tivapromi_suite::tivapromi::{
+    CaPromi, HistoryPolicy, Mitigation, TimeVarying, TivaConfig, WeightMode,
+};
 use tivapromi_suite::trace::{
     AttackConfig, AttackKind, Attacker, MixedTrace, ReplayTrace, SpecLikeWorkload, TraceEvent,
     WorkloadConfig,
@@ -121,6 +136,149 @@ fn boxed_and_enum_mitigations_agree_through_the_batched_loop() {
         let via_enum = engine::run_observed(mix(&base, 5), &mut any, &base, &mut NullObserver);
         assert_eq!(via_box, via_enum, "{technique:?}");
     }
+}
+
+/// Runs a mitigation from `build` over `intervals` through the scalar
+/// reference and through the batched loop at every batch size, asserts
+/// equal metrics, and returns the reference's.
+fn kernel_matches_scalar<M: Mitigation>(
+    what: &str,
+    base: &RunConfig,
+    intervals: &[Vec<TraceEvent>],
+    build: impl Fn() -> M,
+) -> RunMetrics {
+    let scalar = engine::run_scalar(ReplayTrace::new(intervals.to_vec()), &mut build(), base);
+    for batch_events in BATCH_SIZES {
+        let batched_config = base.clone().with_batch_events(batch_events);
+        let batched = engine::run_observed(
+            ReplayTrace::new(intervals.to_vec()),
+            &mut build(),
+            &batched_config,
+            &mut NullObserver,
+        );
+        assert_eq!(
+            scalar, batched,
+            "{what} diverged at batch_events={batch_events}"
+        );
+    }
+    scalar
+}
+
+/// `count` intervals of `per_interval` events; `event(k)` makes the
+/// trace's `k`-th event.
+fn synthetic(
+    count: u32,
+    per_interval: u32,
+    event: impl Fn(u32) -> TraceEvent,
+) -> Vec<Vec<TraceEvent>> {
+    (0..count)
+        .map(|interval| {
+            (0..per_interval)
+                .map(|i| event(interval * per_interval + i))
+                .collect()
+        })
+        .collect()
+}
+
+/// Runs of five same-bank events over all banks, mixing row 0, the last
+/// row, a hammered pair with repeats and a sweep of 300 distinct rows —
+/// more distinct victims than MRLoc's 64-entry queue holds.
+fn edge_mix(k: u32) -> TraceEvent {
+    let rows = config().geometry.rows_per_bank();
+    let row = match k % 10 {
+        0 => 0,
+        1 => rows - 1,
+        2..=4 => 500 + 2 * (k % 2),
+        _ => (k * 37) % 300 + 1,
+    };
+    TraceEvent::benign(BankId((k / 5) % BANKS), RowAddr(row))
+}
+
+/// MRLoc's kernel decides on an up-to-date queue.  At 0.2/0.6 most
+/// candidates take the slow path; at the paper's 0.0002/0.0011 about
+/// 2 activations in 1000 do, so the gaps between them average ≈ 450
+/// activations and a third outlast the 512-entry log, which then fills.
+#[test]
+fn mrloc_kernel_matches_scalar_at_high_probabilities_and_across_log_fills() {
+    let mut base = config();
+    base.windows = 3;
+    let intervals = synthetic(384, 160, edge_mix);
+    for (min, max) in [(0.2, 0.6), (0.0002, 0.0011)] {
+        let mut cfg = MrLocConfig::paper(&base.geometry);
+        (cfg.min_probability, cfg.max_probability) = (min, max);
+        let scalar =
+            kernel_matches_scalar(&format!("MRLoc {min}/{max}"), &base, &intervals, || {
+                MrLoc::new(cfg, 17)
+            });
+        assert!(scalar.trigger_events > 0, "MRLoc {min}/{max} never fired");
+    }
+}
+
+/// The time-varying kernels skip the search and weight lookup for a
+/// draw at or above `RefInt.next_power_of_two()` (128 here).  At
+/// `P_base = 2^-8` half the draws are skipped and half decide, LoPRoMi's
+/// weights reach the bound, and triggers are frequent enough to churn a
+/// two-entry LRU history, whose recency every search refreshes.
+#[test]
+fn time_varying_kernels_match_scalar_where_the_weight_bound_binds() {
+    let base = config();
+    // Four rows per bank, in an order that shifts between banks, so rows
+    // in the history are searched again between the records that evict;
+    // every fifth event is a row seen once, whose weight is its slot's.
+    let intervals = synthetic(256, 40, |k| {
+        let row = match k % 5 {
+            4 => (k * 53) % 1024,
+            i => [7, 300, 650, 1000][i as usize],
+        };
+        TraceEvent::benign(BankId((k / 3) % BANKS), RowAddr(row))
+    });
+    let paper = TivaConfig::paper(&base.geometry).with_p_base_exponent(8);
+    let histories = [
+        paper,
+        paper
+            .with_history_policy(HistoryPolicy::Lru)
+            .with_history_entries(2),
+    ];
+    for tiva in histories {
+        for mode in [
+            WeightMode::Linear,
+            WeightMode::Logarithmic,
+            WeightMode::Hybrid,
+        ] {
+            let what = format!("{mode:?} under {:?}", tiva.history_policy);
+            let scalar = kernel_matches_scalar(&what, &base, &intervals, || {
+                TimeVarying::new(tiva, mode, 23)
+            });
+            let triggers = scalar.trigger_events;
+            assert!(triggers > 100, "{what}: only {triggers} triggers");
+        }
+    }
+}
+
+/// CaPRoMi's kernel searches the history only for a row without a
+/// counter entry.  Hot rows trigger and are activated again in later
+/// intervals, so their insertions must find their history links; a
+/// four-entry table with a lock threshold of 2 fills with locked entries,
+/// so later rows meet failed and successful random replacements.
+#[test]
+fn capromi_kernel_matches_scalar_with_relinked_rows_and_locked_counters() {
+    let base = config();
+    let intervals = synthetic(256, 48, |k| {
+        let i = k % 48;
+        let row = if i < 24 {
+            100 + 17 * (i % 3)
+        } else {
+            (k * 29) % 1024
+        };
+        TraceEvent::benign(BankId(k % 2), RowAddr(row))
+    });
+    let tiva = TivaConfig::paper(&base.geometry)
+        .with_p_base_exponent(10)
+        .with_counter_entries(4)
+        .with_lock_threshold(2);
+    let scalar = kernel_matches_scalar("CaPRoMi", &base, &intervals, || CaPromi::new(tiva, 29));
+    let triggers = scalar.trigger_events;
+    assert!(triggers > 100, "CaPRoMi: only {triggers} triggers");
 }
 
 fn trace_strategy() -> impl Strategy<Value = Vec<Vec<TraceEvent>>> {
