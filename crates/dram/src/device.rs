@@ -218,24 +218,55 @@ impl DramDevice {
     /// Activation semantics on an already-physical row address.
     #[inline]
     fn activate_physical_raw(&mut self, bank: BankId, phys: RowAddr) {
-        let rows = self.geometry.rows_per_bank();
-        let d2 = self.distance2_sixteenths;
-        let state = &mut self.banks[bank.index()];
-        state.restore(phys);
-        if phys.0 > 0 {
-            state.disturb(RowAddr(phys.0 - 1));
-        }
-        if phys.0 + 1 < rows {
-            state.disturb(RowAddr(phys.0 + 1));
-        }
-        if d2 > 0 {
-            if phys.0 > 1 {
-                state.disturb_scaled(RowAddr(phys.0 - 2), d2);
+        self.banks[bank.index()].activate(phys, self.distance2_sixteenths);
+    }
+
+    /// Applies a column-slice of workload activations, with the same
+    /// result as one `Command::Activate` per element in order.
+    ///
+    /// Each run of equal bank no longer than the bank's
+    /// [`DramDevice::flip_headroom`] cannot flip a row, so it restores
+    /// and disturbs (keeping the high-water mark exact) without the
+    /// per-row threshold lookup, the flip test or the flip drain.  A
+    /// longer run takes the per-event path.
+    pub fn apply_activations(&mut self, banks: &[BankId], rows: &[RowAddr]) {
+        debug_assert_eq!(banks.len(), rows.len(), "one row per bank entry");
+        let mut start = 0;
+        for run in banks.chunk_by(|a, b| a == b) {
+            let bank = run[0];
+            let run_rows = &rows[start..start + run.len()];
+            start += run.len();
+            let len = u64::try_from(run.len()).expect("run length fits u64");
+            if len > self.flip_headroom(bank) {
+                for &row in run_rows {
+                    self.apply(Command::Activate { bank, row });
+                }
+                continue;
             }
-            if phys.0 + 2 < rows {
-                state.disturb_scaled(RowAddr(phys.0 + 2), d2);
+            self.stats.workload_activations += len;
+            let d2 = self.distance2_sixteenths;
+            let state = &mut self.banks[bank.index()];
+            if self.identity_mapping {
+                state.activate_within_headroom(run_rows.iter().copied(), d2);
+            } else {
+                let mapping = &self.mapping;
+                state.activate_within_headroom(run_rows.iter().map(|&r| mapping.physical(r)), d2);
             }
         }
+    }
+
+    /// How many further workload activations `bank` can take before any
+    /// of its rows could reach its flip threshold: a run of activations
+    /// no longer than this cannot flip a bit.
+    ///
+    /// One activation adds at most a full disturbance event to any row,
+    /// and no row is above the bank's high-water mark, so the bound is
+    /// the number of whole events that fit strictly between that mark
+    /// and the bank's smallest threshold.  It is tight, and zero once
+    /// the mark is within one event of that threshold.
+    #[inline]
+    pub fn flip_headroom(&self, bank: BankId) -> u64 {
+        self.banks[bank.index()].flip_headroom()
     }
 
     /// Moves `bank`'s newly flipped rows into the flip log.  Flips are
@@ -559,6 +590,59 @@ mod tests {
         let flipped: Vec<RowAddr> = d.flips().iter().map(|f| f.row).collect();
         assert!(flipped.contains(&RowAddr(8)), "{flipped:?}");
         assert!(flipped.contains(&RowAddr(12)));
+    }
+
+    #[test]
+    fn flip_headroom_is_tight() {
+        // A hammered row's victims flip on exactly the activation after
+        // the headroom, wherever the run stops short of it, with or
+        // without full distance-2 coupling.
+        for threshold in 1..=12u32 {
+            for (d2, stop) in [(0, 0), (16, threshold / 2)] {
+                let mut d = device();
+                d.set_flip_threshold(threshold);
+                d.set_distance2_coupling(d2);
+                let hammer = |d: &mut DramDevice, n: u32| {
+                    let n = n as usize;
+                    d.apply_activations(&vec![BankId(0); n], &vec![RowAddr(20); n]);
+                };
+                hammer(&mut d, stop);
+                let headroom = d.flip_headroom(BankId(0));
+                assert_eq!(headroom, u64::from(threshold - 1 - stop));
+                hammer(&mut d, threshold - 1 - stop);
+                assert!(d.flips().is_empty(), "threshold {threshold}: flipped early");
+                assert_eq!(d.flip_headroom(BankId(0)), 0);
+                hammer(&mut d, 1);
+                let flipped: Vec<RowAddr> = d.flips().iter().map(|f| f.row).collect();
+                let want = if d2 == 0 {
+                    vec![RowAddr(19), RowAddr(21)]
+                } else {
+                    vec![RowAddr(19), RowAddr(21), RowAddr(18), RowAddr(22)]
+                };
+                assert_eq!(flipped, want, "threshold {threshold}, d2 {d2}");
+                // The other bank keeps its own headroom.
+                assert_eq!(d.flip_headroom(BankId(1)), u64::from(threshold - 1));
+            }
+        }
+    }
+
+    #[test]
+    fn weakest_row_sets_the_headroom() {
+        let mut d = device(); // uniform threshold 10, above every weak row
+        let spec = crate::WeakCellSpec::Sampled {
+            seed: 3,
+            strong: 10,
+            weak_lo: 2,
+            weak_hi: 8,
+            weak_per_mille: 100,
+        };
+        let map = spec.materialize(d.geometry()).expect("sampled map");
+        d.set_weak_cell_map(&map);
+        for bank in [BankId(0), BankId(1)] {
+            let floor = map.bank_thresholds(bank).into_iter().min().expect("rows");
+            assert!(floor < 10, "the sample has a weak row");
+            assert_eq!(d.flip_headroom(bank), u64::from(floor - 1));
+        }
     }
 
     #[test]

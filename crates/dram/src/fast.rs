@@ -254,11 +254,11 @@ impl DisturbanceBackend for FastBackend {
         true
     }
 
-    /// The whole point of the tier: a segment of activations is three
+    /// The whole point of the tier: a slice of activations is three
     /// array writes per event, with no `Command` dispatch in the loop.
-    /// The column is walked in runs of equal bank (bank-sharded and
-    /// single-bank traces are one run), hoisting the bank lookup out of
-    /// the per-event loop.
+    /// The column is walked in runs of equal bank (the engine hands
+    /// over one run per call), hoisting the bank lookup out of the
+    /// per-event loop.
     fn apply_activations(&mut self, banks: &[BankId], rows: &[RowAddr]) {
         self.stats.workload_activations +=
             u64::try_from(banks.len()).expect("segment length fits u64");

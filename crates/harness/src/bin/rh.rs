@@ -10,7 +10,7 @@
 //! The experiments are `rh_harness::experiments::ALL`; a full
 //! regeneration is one command: `rh all paper`.
 
-use rh_harness::experiments::{Experiment, ALL};
+use rh_harness::experiments::{write_reports, ALL};
 use rh_harness::ExperimentScale;
 use std::io::{self, Write};
 
@@ -27,13 +27,13 @@ fn main() {
     let mut out = io::stdout().lock();
     let printed = match command.as_str() {
         "list" | "--help" | "-h" => list(&mut out),
-        "all" => print_reports(&mut out, ALL, &scale),
+        "all" => write_reports(&mut out, ALL, &scale),
         name => {
             let Some(at) = ALL.iter().position(|e| e.name == name) else {
                 eprintln!("unknown experiment `{name}`; try `rh list`");
                 std::process::exit(2);
             };
-            print_reports(&mut out, &ALL[at..=at], &scale)
+            write_reports(&mut out, &ALL[at..=at], &scale)
         }
     };
     match printed {
@@ -51,21 +51,6 @@ fn list(out: &mut impl Write) -> io::Result<()> {
     writeln!(out, "{USAGE}\n")?;
     for e in ALL {
         writeln!(out, "  {:16} {}", e.name, e.description)?;
-    }
-    out.flush()
-}
-
-fn print_reports(
-    out: &mut impl Write,
-    experiments: &[Experiment],
-    scale: &ExperimentScale,
-) -> io::Result<()> {
-    for e in experiments {
-        // The header goes out before the experiment runs, so a long
-        // `rh all` shows what it is computing.
-        writeln!(out, "==== {} ====", e.name)?;
-        out.flush()?;
-        writeln!(out, "{}", (e.report)(scale))?;
     }
     out.flush()
 }

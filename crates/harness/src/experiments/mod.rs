@@ -13,6 +13,7 @@
 use crate::config::ExperimentScale;
 use crate::metrics::{MeanStd, RunMetrics};
 use crate::parallel;
+use std::io::{self, Write};
 
 pub mod ablation;
 pub mod aggressor_sweep;
@@ -119,6 +120,27 @@ pub const ALL: &[Experiment] = &[
         report: extensions::report,
     },
 ];
+
+/// Writes each experiment's report at `scale` to `out` under a
+/// `==== name ====` header: what `rh <name>` and `rh all` print.
+///
+/// # Errors
+///
+/// Returns the first error writing to `out`.
+pub fn write_reports(
+    out: &mut impl Write,
+    experiments: &[Experiment],
+    scale: &ExperimentScale,
+) -> io::Result<()> {
+    for e in experiments {
+        // The header goes out before the experiment runs, so a long
+        // `rh all` shows what it is computing.
+        writeln!(out, "==== {} ====", e.name)?;
+        out.flush()?;
+        writeln!(out, "{}", (e.report)(scale))?;
+    }
+    out.flush()
+}
 
 /// Runs `run(cell, seed)` for every cell and seed `1..=seeds` on the
 /// worker pool, and returns `summarize(cell, runs)` for each cell, in

@@ -39,8 +39,9 @@ pub struct MixedTrace {
     /// Persistent per-bank, per-source merge lanes reused by the
     /// batched delivery path ([`MixedTrace::next_batch`]), indexed by
     /// bank id.  `next_interval` deliberately keeps its original
-    /// allocate-per-interval merge: it is the pre-batch reference the
-    /// throughput bench compares against.
+    /// allocate-per-interval merge: it is the independent reference the
+    /// sharding suite (`crates/trace/tests/sharding.rs`) holds
+    /// `next_batch` to, and the delivery `engine::run_scalar` uses.
     lanes: Vec<Vec<Vec<TraceEvent>>>,
     /// Events dropped so far by the bandwidth cap (diagnostic).
     dropped: u64,

@@ -19,9 +19,21 @@
 //! `tests/determinism.rs` and `tests/fleet_determinism.rs` pin the
 //! exact tier's byte-identical sharding contract; the worker-count
 //! test here extends the same contract to the fast and cycle tiers.
+//!
+//! Below the engine, the exact and cycle tiers take a bank run that
+//! cannot flip a row ([`DisturbanceBackend::flip_headroom`]) in one
+//! `apply_activations` call that skips the flip checks.  A generated
+//! command stream pins that call equal to per-event delivery, across
+//! consecutive flip thresholds, so some runs end exactly on the bound.
 
 use proptest::prelude::*;
-use tivapromi_suite::dram::{Geometry, RowAddr, DISTURB_SCALE};
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
+use tivapromi_suite::dram::{
+    BankId, Command, CycleBackend, DisturbanceBackend, DramDevice, DramTiming, Geometry,
+    IdentityMapping, RefreshOrder, RemappedMapping, RowAddr, RowMapping, WeakCellSpec,
+    DISTURB_SCALE,
+};
 use tivapromi_suite::harness::experiments::reliability::Unprotected;
 use tivapromi_suite::harness::{
     engine, scenario, BackendSpec, ExperimentScale, NullObserver, Parallelism, RunConfig,
@@ -371,6 +383,172 @@ fn exact_tier_is_the_default() {
         .run(scenario::paper_mix(&base, 7));
     let explicit = run_tier(&base, Technique::Para, BackendSpec::Exact, 7);
     assert_eq!(implicit, explicit);
+}
+
+/// One step of a generated device stream: a slice of workload
+/// activations, or one command applied alike to every copy.
+enum Step {
+    Activations(Vec<BankId>, Vec<RowAddr>),
+    Command(Command),
+}
+
+/// A stream over a 64-row, 2-bank device: mostly single-row hammer
+/// runs (on row 0, the last row, or a hot middle row) and mixed-bank
+/// slices, with auto-refreshes and mitigation commands in between.
+fn device_stream(seed: u64) -> Vec<Step> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let hot = [0, 1, 2, 30, 31, 32, 61, 62, 63];
+    (0..400)
+        .map(|_| {
+            let bank = BankId(rng.random_range(0..2));
+            let row = RowAddr(hot[rng.random_range(0..hot.len())]);
+            match rng.random_range(0..100) {
+                0..=59 => {
+                    let len = rng.random_range(1..=24);
+                    Step::Activations(vec![bank; len], vec![row; len])
+                }
+                60..=79 => {
+                    let len = rng.random_range(1..=24);
+                    let banks = (0..len).map(|_| BankId(rng.random_range(0..2))).collect();
+                    let rows = (0..len)
+                        .map(|_| RowAddr(hot[rng.random_range(0..hot.len())]))
+                        .collect();
+                    Step::Activations(banks, rows)
+                }
+                80..=87 => Step::Command(Command::Refresh),
+                88..=94 => Step::Command(Command::ActivateNeighbors { bank, row }),
+                _ => Step::Command(Command::RefreshRow { bank, row }),
+            }
+        })
+        .collect()
+}
+
+/// A device at `threshold`: distance-2 coupling in sixteenths, a row
+/// mapping that swaps rows at both edges and in the middle, and
+/// optionally a weak-cell map whose weakest rows sit below `threshold`.
+fn stream_device(threshold: u32, d2: u32, remap: bool, weak: bool) -> DramDevice {
+    let geometry = Geometry::new(64, 2, 8).expect("geometry");
+    let mapping: Box<dyn RowMapping> = if remap {
+        let swaps = [(1, 62), (62, 1), (0, 31), (31, 0), (63, 33), (33, 63)];
+        Box::new(RemappedMapping::new(swaps.map(|(logical, physical)| {
+            (RowAddr(logical), RowAddr(physical))
+        })))
+    } else {
+        Box::new(IdentityMapping)
+    };
+    let mut device = DramDevice::with_policies(
+        geometry,
+        DramTiming::ddr4(),
+        mapping,
+        &RefreshOrder::SequentialNeighbors,
+    );
+    device.set_flip_threshold(threshold);
+    device.set_distance2_coupling(d2);
+    if weak {
+        let spec = WeakCellSpec::Sampled {
+            seed: u64::from(threshold),
+            strong: threshold,
+            weak_lo: (threshold / 2).max(1),
+            weak_hi: threshold,
+            weak_per_mille: 300,
+        };
+        device.set_weak_cell_map(&spec.materialize(&geometry).expect("sampled map"));
+    }
+    device
+}
+
+/// Applies `steps` to `backend`, each activation slice either in one
+/// `apply_activations` call or one `Command::Activate` per event.
+fn replay_stream<B: DisturbanceBackend>(backend: &mut B, steps: &[Step], in_runs: bool) {
+    for step in steps {
+        match step {
+            Step::Activations(banks, rows) if in_runs => backend.apply_activations(banks, rows),
+            Step::Activations(banks, rows) => {
+                for (&bank, &row) in banks.iter().zip(rows) {
+                    backend.apply(Command::Activate { bank, row });
+                }
+            }
+            Step::Command(command) => backend.apply(*command),
+        }
+    }
+}
+
+fn assert_devices_agree(runs: &DramDevice, events: &DramDevice, label: &str) {
+    assert_eq!(runs.flips(), events.flips(), "{label}: flips");
+    assert_eq!(runs.stats(), events.stats(), "{label}: stats");
+    assert_eq!(
+        runs.max_disturbance_seen(),
+        events.max_disturbance_seen(),
+        "{label}: max disturbance"
+    );
+    let geometry = *events.geometry();
+    for bank in (0..geometry.banks()).map(BankId) {
+        for row in (0..geometry.rows_per_bank()).map(RowAddr) {
+            assert_eq!(
+                runs.disturbance(bank, row),
+                events.disturbance(bank, row),
+                "{label}: bank {} row {}",
+                bank.0,
+                row.0
+            );
+        }
+    }
+}
+
+/// Run delivery equals per-event delivery on the exact and cycle tiers:
+/// flips in order, stats, the high-water mark, every row's counter and
+/// the cycle accounting.  The thresholds are consecutive, so single-bank
+/// runs land exactly on the bound and one past it.
+#[test]
+fn run_delivery_matches_per_event_delivery_across_the_flip_headroom() {
+    let (mut on_bound, mut past_bound, mut flips) = (0, 0, 0);
+    for seed in 0..2 {
+        let steps = device_stream(seed);
+        for threshold in 1..=40 {
+            for d2 in [0, 5, DISTURB_SCALE] {
+                for (remap, weak) in [(false, false), (true, false), (false, true), (true, true)] {
+                    let label = format!(
+                        "seed {seed} threshold {threshold} d2 {d2} remap {remap} weak {weak}"
+                    );
+                    let device = || stream_device(threshold, d2, remap, weak);
+                    let mut events = device();
+                    replay_stream(&mut events, &steps, false);
+                    let mut runs = device();
+                    for step in &steps {
+                        if let Step::Activations(banks, _) = step {
+                            if banks.iter().all(|&b| b == banks[0]) {
+                                let len = banks.len() as u64;
+                                let headroom = runs.flip_headroom(banks[0]);
+                                on_bound += u32::from(len == headroom);
+                                past_bound += u32::from(headroom > 0 && len == headroom + 1);
+                            }
+                        }
+                        replay_stream(&mut runs, std::slice::from_ref(step), true);
+                    }
+                    assert_devices_agree(&runs, &events, &label);
+                    flips += events.flips().len();
+
+                    let mut cycle_events = CycleBackend::new(device());
+                    replay_stream(&mut cycle_events, &steps, false);
+                    let mut cycle_runs = CycleBackend::new(device());
+                    replay_stream(&mut cycle_runs, &steps, true);
+                    assert_devices_agree(cycle_runs.inner(), cycle_events.inner(), &label);
+                    assert_eq!(
+                        cycle_runs.cycles(),
+                        cycle_events.cycles(),
+                        "{label}: cycles"
+                    );
+                    assert_eq!(cycle_runs.inner().flips(), events.flips(), "{label}: tiers");
+                }
+            }
+        }
+    }
+    assert!(on_bound > 0, "no run ended exactly on its bank's headroom");
+    assert!(
+        past_bound > 0,
+        "no run went exactly one past its bank's headroom"
+    );
+    assert!(flips > 0, "the stream never flipped a row");
 }
 
 proptest! {

@@ -23,12 +23,18 @@
 //! weight bound binds on half the draws (FIFO, and LRU with a small
 //! history), and CaPRoMi with rows re-activated after their triggers and
 //! a full counter table of locked entries.
+//!
+//! The replay hands a bank run to the backend in one call only when the
+//! run cannot flip a row (`DisturbanceBackend::flip_headroom`).  A
+//! flooding case at consecutive small thresholds puts runs exactly on
+//! that bound, one past it, and across it with a flip inside.
 
 use dram_sim::{BackendSpec, BankId, Geometry, RowAddr};
 use proptest::prelude::*;
 use tivapromi_suite::baselines::mrloc::{MrLoc, MrLocConfig};
+use tivapromi_suite::harness::experiments::reliability::Unprotected;
 use tivapromi_suite::harness::{
-    engine, techniques, ExperimentScale, NullObserver, RunConfig, RunMetrics,
+    engine, scenario, techniques, ExperimentScale, NullObserver, RunConfig, RunMetrics,
 };
 use tivapromi_suite::hwmodel::Technique;
 use tivapromi_suite::tivapromi::{
@@ -36,7 +42,7 @@ use tivapromi_suite::tivapromi::{
 };
 use tivapromi_suite::trace::{
     AttackConfig, AttackKind, Attacker, MixedTrace, ReplayTrace, SpecLikeWorkload, TraceEvent,
-    WorkloadConfig,
+    TraceSource, WorkloadConfig,
 };
 
 const BANKS: u32 = 4;
@@ -138,30 +144,71 @@ fn boxed_and_enum_mitigations_agree_through_the_batched_loop() {
     }
 }
 
-/// Runs a mitigation from `build` over `intervals` through the scalar
-/// reference and through the batched loop at every batch size, asserts
-/// equal metrics, and returns the reference's.
-fn kernel_matches_scalar<M: Mitigation>(
+/// Runs a mitigation from `build` over a trace from `trace` through the
+/// scalar reference and through the batched loop at every batch size,
+/// asserts equal metrics, and returns the reference's.
+fn matches_scalar<S: TraceSource, M: Mitigation>(
     what: &str,
     base: &RunConfig,
-    intervals: &[Vec<TraceEvent>],
+    trace: impl Fn() -> S,
     build: impl Fn() -> M,
 ) -> RunMetrics {
-    let scalar = engine::run_scalar(ReplayTrace::new(intervals.to_vec()), &mut build(), base);
+    let scalar = engine::run_scalar(trace(), &mut build(), base);
     for batch_events in BATCH_SIZES {
         let batched_config = base.clone().with_batch_events(batch_events);
-        let batched = engine::run_observed(
-            ReplayTrace::new(intervals.to_vec()),
-            &mut build(),
-            &batched_config,
-            &mut NullObserver,
-        );
+        let batched =
+            engine::run_observed(trace(), &mut build(), &batched_config, &mut NullObserver);
         assert_eq!(
             scalar, batched,
             "{what} diverged at batch_events={batch_events}"
         );
     }
     scalar
+}
+
+/// [`matches_scalar`] over a replayed trace.
+fn kernel_matches_scalar<M: Mitigation>(
+    what: &str,
+    base: &RunConfig,
+    intervals: &[Vec<TraceEvent>],
+    build: impl Fn() -> M,
+) -> RunMetrics {
+    matches_scalar(what, base, || ReplayTrace::new(intervals.to_vec()), build)
+}
+
+/// Flooding one row of bank 0 at 165 activations per interval: an
+/// unprotected device's victims flip on exactly the `T`-th activation.
+/// At `T` = 160…164 the first interval's run crosses the bound and
+/// flips inside; at 165 it flips on its last event; at 166 the run ends
+/// exactly on the bound and the next run flips on its first event;
+/// above that the second run flips partway.  Under PARA, triggers cut
+/// the runs and restore the victims, so runs past the bound also
+/// complete without a flip.
+#[test]
+fn batched_run_matches_scalar_across_the_flip_headroom() {
+    for tier in [BackendSpec::Exact, BackendSpec::Cycle] {
+        for threshold in 160..=170 {
+            let mut base = config().with_backend(tier);
+            base.flip_threshold = threshold;
+            let what = format!("threshold {threshold} on {tier}");
+            let flood = || scenario::flooding(&base, RowAddr(500));
+            let unprotected = matches_scalar(&format!("unprotected, {what}"), &base, flood, || {
+                Unprotected
+            });
+            assert_eq!(
+                unprotected.time_to_first_flip,
+                Some(u64::from(threshold)),
+                "{what}"
+            );
+            let para = matches_scalar(&format!("PARA, {what}"), &base, flood, || {
+                techniques::build_any(Technique::Para, &base, 3)
+            });
+            assert!(
+                para.trigger_events > 0 && para.flips > 0,
+                "{what}: {para:?}"
+            );
+        }
+    }
 }
 
 /// `count` intervals of `per_interval` events; `event(k)` makes the
