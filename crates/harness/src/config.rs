@@ -52,7 +52,7 @@ impl ExperimentScale {
     }
 
     /// Parses a scale name (`quick` / `paper` / `full`), the scale
-    /// argument of `rh`, `export` and `timeline`.
+    /// argument of `rh <experiment>`, `rh export` and `rh timeline`.
     pub fn from_name(name: &str) -> Option<Self> {
         match name {
             "quick" => Some(ExperimentScale::quick()),
@@ -62,9 +62,10 @@ impl ExperimentScale {
         }
     }
 
-    /// Parses the optional scale argument of `rh`, `export` or
-    /// `timeline`: no argument is the paper scale; an unknown name is an
-    /// error, never a silent fallback to a multi-minute default.
+    /// Parses the optional scale argument of `rh <experiment>`,
+    /// `rh export` or `rh timeline`: no argument is the paper scale; an
+    /// unknown name is an error, never a silent fallback to a
+    /// multi-minute default.
     pub fn from_arg(arg: Option<&str>) -> Result<Self, UnknownScale> {
         match arg {
             None => Ok(ExperimentScale::paper_shape()),
@@ -72,16 +73,6 @@ impl ExperimentScale {
                 ExperimentScale::from_name(name).ok_or_else(|| UnknownScale(name.to_string()))
             }
         }
-    }
-
-    /// [`ExperimentScale::from_arg`] for a binary's `main`: an unknown
-    /// name prints a usage line and exits with status 2.
-    pub fn from_arg_or_exit(arg: Option<&str>) -> Self {
-        ExperimentScale::from_arg(arg).unwrap_or_else(|err| {
-            let program = std::env::args().next().unwrap_or_default();
-            eprintln!("error: {err}\nusage: {program} [quick|paper|full]");
-            std::process::exit(2)
-        })
     }
 }
 

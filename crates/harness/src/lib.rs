@@ -7,8 +7,9 @@
 //! and figure.
 //!
 //! [`experiments::ALL`] is the one list of experiments, each with the
-//! table or figure it reproduces.  The `rh` binary runs them: `rh list`
-//! names them, `rh fig4 paper` prints one and `rh all quick` every one.
+//! table or figure it reproduces.  The `rh` binary of the workspace's
+//! root package runs them: `rh list` names them, `rh fig4 paper` prints
+//! one and `rh all quick` every one.
 //!
 //! ## Example
 //!

@@ -1,8 +1,8 @@
 //! Machine-readable experiment exports (CSV) for plotting.
 //!
 //! Every regenerator prints a human-readable table; for gnuplot /
-//! matplotlib consumers the `export` binary writes the same series as
-//! CSV via these helpers.
+//! matplotlib consumers `rh export` writes the same series as CSV via
+//! these helpers.
 
 use crate::experiments::fig4::Fig4Point;
 use crate::experiments::flooding::FloodingResult;

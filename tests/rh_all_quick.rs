@@ -5,7 +5,7 @@
 //! every table and figure the repository reproduces under `cargo test`:
 //! a change that moves one number in any of them fails this test.
 //! Regenerate the golden only for an intended output change:
-//! `cargo run --release -p rh-harness --bin rh -- all quick > tests/golden/rh_all_quick.txt`.
+//! `cargo run --release --bin rh -- all quick > tests/golden/rh_all_quick.txt`.
 
 use tivapromi_suite::harness::experiments::{write_reports, ALL};
 use tivapromi_suite::harness::ExperimentScale;
