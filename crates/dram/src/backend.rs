@@ -96,7 +96,7 @@ pub trait DisturbanceBackend {
     fn max_disturbance_seen(&self) -> u32;
 
     /// The underlying event-accurate device, when the tier keeps one —
-    /// deep per-row inspection (histograms) is only available then.
+    /// per-row inspection is only available then.
     fn device(&self) -> Option<&DramDevice> {
         None
     }

@@ -62,12 +62,11 @@
 
 use crate::config::RunConfig;
 use crate::metrics::{sort_flip_log, FlipRecord, RunMetrics};
-use crate::observe::{IntervalSnapshot, NullObserver, Observe, Observer, RunSummary, ShardInfo};
+use crate::observe::{IntervalSnapshot, NullObserver, Observe, Observer, ShardInfo};
 use dram_sim::{
     BackendSpec, BankId, Command, CycleBackend, DisturbanceBackend, FlipEvent, Geometry, RowAddr,
 };
 use mem_trace::{EventBatch, TraceEvent, TraceSource, TraceSplit};
-use std::time::Instant;
 use tivapromi::{ActionSink, Mitigation, MitigationAction};
 
 /// Tracks which rows the attacker has hammered, for ground-truth
@@ -379,7 +378,6 @@ where
                 false_positives: triggers.false_positive_events,
                 stats: backend.stats(),
                 max_disturbance: backend.max_disturbance_seen(),
-                device: backend.device(),
             });
             interval += 1;
         }
@@ -535,14 +533,11 @@ fn finish_metrics<M: Mitigation + ?Sized, B: DisturbanceBackend + ?Sized, O: Obs
 /// the sequential run, for every worker count and schedule.
 ///
 /// With `observe`, one [`Observer`] is forked per bank shard (or one for
-/// the whole run on the sequential path), and shard and run completions
-/// are reported with wall-clock timings.  Deterministic observers
-/// ([`crate::TimeSeriesRecorder`]) leave the merged metrics
-/// bit-identical to the sequential run at every worker count;
-/// timing-based ones ([`crate::PerfCounters`]) keep their readings
-/// outside the metrics.  Without one, the engine loop stays
-/// monomorphised over [`NullObserver`] and no clock is read, so the run
-/// is exactly as fast as an engine without observability hooks.
+/// the whole run on the sequential path); a deterministic observer
+/// ([`crate::TimeSeriesRecorder`]) leaves the merged metrics
+/// bit-identical to the sequential run at every worker count.  Without
+/// one, the engine loop stays monomorphised over [`NullObserver`], so
+/// the run is exactly as fast as an engine without observability hooks.
 ///
 /// `build` must construct the mitigation identically on every call
 /// (same technique, same seed); it is called once per shard.
@@ -561,25 +556,19 @@ where
     if !config.parallelism.shard_by_bank || banks <= 1 {
         return run_whole(trace, build, config, observe);
     }
-    let workers = config.parallelism.effective_workers();
-    timed_run(observe, workers, banks as usize, || {
-        let shards: Vec<(ShardInfo, Box<dyn TraceSplit>)> = (0..banks)
-            .map(|b| {
-                let info = ShardInfo {
-                    index: b as usize,
-                    count: banks as usize,
-                    bank: Some(BankId(b)),
-                };
-                (info, trace.bank_shard(BankId(b)))
-            })
-            .collect();
-        crate::parallel::map_workers(shards, workers, |(info, shard)| {
-            run_shard(shard, build, config, observe, &info)
+    let shards: Vec<(ShardInfo, Box<dyn TraceSplit>)> = (0..banks)
+        .map(|b| {
+            let bank = BankId(b);
+            (ShardInfo { bank: Some(bank) }, trace.bank_shard(bank))
         })
-        .into_iter()
-        .reduce(RunMetrics::merge)
-        .expect("geometry has at least one bank")
+        .collect();
+    let workers = config.parallelism.effective_workers();
+    crate::parallel::map_workers(shards, workers, |(info, shard)| {
+        run_shard(shard, build, config, observe, &info)
     })
+    .into_iter()
+    .reduce(RunMetrics::merge)
+    .expect("geometry has at least one bank")
 }
 
 /// The unsharded path of [`run_sharded`], open to any [`TraceSource`]
@@ -596,13 +585,11 @@ where
     M: Mitigation,
     F: Fn() -> M,
 {
-    timed_run(observe, 1, 1, || {
-        run_shard(trace, build, config, observe, &ShardInfo::whole_run())
-    })
+    run_shard(trace, build, config, observe, &ShardInfo::whole_run())
 }
 
 /// Runs one shard (or the whole run) on a freshly built mitigation,
-/// forking `observe`'s observer for it and reporting its wall time.
+/// with `observe`'s observer for it forked when one is attached.
 fn run_shard<S, M, F>(
     trace: S,
     build: &F,
@@ -616,46 +603,15 @@ where
     F: Fn() -> M,
 {
     let mut mitigation = build();
-    let Some(observe) = observe else {
-        return run_observed(trace, &mut mitigation, config, &mut NullObserver);
-    };
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "shard wall time goes to Observe::on_shard_finish only"
-    )]
-    let start = Instant::now();
-    let mut observer = observe.observer(shard);
-    let metrics = run_observed(trace, &mut mitigation, config, observer.as_mut());
-    observe.on_shard_finish(shard, &metrics, start.elapsed());
-    metrics
-}
-
-/// Runs `run` and, when observed, reports its result and wall time to
-/// [`Observe::on_run_end`]; unobserved, no clock is read.
-fn timed_run(
-    observe: Option<&dyn Observe>,
-    workers: usize,
-    shards: usize,
-    run: impl FnOnce() -> RunMetrics,
-) -> RunMetrics {
-    let Some(observe) = observe else {
-        return run();
-    };
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "wall times here feed only Observe callbacks (PerfCounters-style diagnostics), never RunMetrics"
-    )]
-    let start = Instant::now();
-    let metrics = run();
-    observe.on_run_end(
-        &metrics,
-        &RunSummary {
-            workers,
-            shards,
-            elapsed: start.elapsed(),
-        },
-    );
-    metrics
+    match observe {
+        None => run_observed(trace, &mut mitigation, config, &mut NullObserver),
+        Some(observe) => run_observed(
+            trace,
+            &mut mitigation,
+            config,
+            observe.observer(shard).as_mut(),
+        ),
+    }
 }
 
 #[cfg(test)]
@@ -756,7 +712,7 @@ mod tests {
                 self.true_positives += 1;
             }
         }
-        fn on_interval_end(&mut self, snapshot: &IntervalSnapshot<'_>) {
+        fn on_interval_end(&mut self, snapshot: &IntervalSnapshot) {
             self.intervals += 1;
             assert_eq!(snapshot.interval + 1, self.intervals);
             assert!(snapshot.activations >= self.activations);

@@ -14,7 +14,7 @@
 //! ## Example
 //!
 //! The [`Runner`] builder is the documented entrypoint: pick a
-//! technique, a seed, optionally some observers, and run a trace.
+//! technique, a seed, optionally an observer, and run a trace.
 //!
 //! ```
 //! use rh_harness::{Runner, RunConfig, ExperimentScale, scenario, TimeSeriesRecorder};
@@ -52,8 +52,7 @@ pub use dram_sim::BackendSpec;
 pub use engine::run_sharded;
 pub use metrics::{FlipRecord, MeanStd, RunMetrics, TimePoint, TimeSeries};
 pub use observe::{
-    DisturbanceHistogram, IntervalSnapshot, NullObserver, Observe, Observer, PerfCounters,
-    RunSummary, ShardInfo, TimeSeriesRecorder,
+    IntervalSnapshot, NullObserver, Observe, Observer, ShardInfo, TimeSeriesRecorder,
 };
 pub use runner::Runner;
 pub use table::TextTable;

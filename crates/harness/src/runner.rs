@@ -4,7 +4,7 @@
 //! [`engine::run_observed`]) for callers that build their own
 //! mitigation; `Runner` collapses the common path: pick
 //! a technique, a seed, a backend fidelity tier, a parallelism policy
-//! and any number of observers, then call [`Runner::run`].
+//! and an observer, then call [`Runner::run`].
 //!
 //! ```
 //! use rh_harness::{Runner, RunConfig, ExperimentScale, scenario, TimeSeriesRecorder};
@@ -31,29 +31,29 @@ use mem_trace::{ShardError, TraceSource, TraceSplit};
 use rh_hwmodel::Technique;
 
 /// Builder over the run engine: technique, seed, backend tier,
-/// parallelism and observers in one place.
+/// parallelism and observer in one place.
 ///
 /// [`Runner::run`] calls straight into [`engine::run_sharded`].  With no
-/// observers attached that is the monomorphised no-observer engine — the
+/// observer attached that is the monomorphised no-observer engine — the
 /// builder adds nothing to the per-activation path.  Attaching an
 /// observer switches to the dynamically-dispatched observed loop.
 pub struct Runner {
     config: RunConfig,
     spec: TechniqueSpec,
     seed: u64,
-    observers: Vec<Box<dyn Observe>>,
+    observer: Option<Box<dyn Observe>>,
 }
 
 impl Runner {
     /// A runner for `config`, defaulting to the paper's headline
     /// technique (LoLiPRoMi), seed 1, the config's parallelism, and no
-    /// observers.
+    /// observer.
     pub fn new(config: RunConfig) -> Self {
         Runner {
             config,
             spec: TechniqueSpec::Paper(Technique::LoLiPromi),
             seed: 1,
-            observers: Vec::new(),
+            observer: None,
         }
     }
 
@@ -88,15 +88,11 @@ impl Runner {
         self
     }
 
-    /// Attaches an [`Observe`] strategy; may be called repeatedly, and
-    /// every attached strategy sees every event.
-    ///
-    /// Strategies with shared state ([`crate::PerfCounters`],
-    /// [`crate::DisturbanceHistogram`]) are `Clone`: keep a clone to
-    /// read results after the run.
+    /// Attaches an [`Observe`] strategy.  A run has at most one: a
+    /// second call replaces the first.
     #[must_use]
     pub fn observer(mut self, observe: impl Observe + 'static) -> Self {
-        self.observers.push(Box::new(observe));
+        self.observer = Some(Box::new(observe));
         self
     }
 
@@ -115,15 +111,12 @@ impl Runner {
     /// bank when the parallelism policy allows it.
     ///
     /// Deterministic: the result is bit-identical for every worker
-    /// count, with or without deterministic observers attached.
+    /// count, with or without a deterministic observer attached.
     pub fn run<S: TraceSplit>(&self, trace: S) -> RunMetrics {
         // Static dispatch: the engine loop matches on [`AnyMitigation`]
         // per interval segment instead of making per-event vtable calls.
         let build = || techniques::build_any(self.spec, &self.config, self.seed);
-        // No observers means `None`: the engine's no-observer path.
-        let observers: &[Box<dyn Observe>] = &self.observers;
-        let observe = (!observers.is_empty()).then_some(&observers as &dyn Observe);
-        engine::run_sharded(trace, &build, &self.config, observe)
+        engine::run_sharded(trace, &build, &self.config, self.observer.as_deref())
     }
 
     /// Drives a [`TraceSource`] that may or may not support bank
@@ -160,13 +153,11 @@ impl Runner {
     }
 
     /// Drives an unshardable trace ([`TraceSource`] only, e.g. one that
-    /// is not `Send`) sequentially, still honouring observers: the
-    /// whole run is reported as a single shard.
+    /// is not `Send`) sequentially, still honouring the observer: the
+    /// whole run is one shard.
     pub fn run_sequential<S: TraceSource>(&self, trace: S) -> RunMetrics {
         let build = || techniques::build_any(self.spec, &self.config, self.seed);
-        let observers: &[Box<dyn Observe>] = &self.observers;
-        let observe = (!observers.is_empty()).then_some(&observers as &dyn Observe);
-        engine::run_whole(trace, &build, &self.config, observe)
+        engine::run_whole(trace, &build, &self.config, self.observer.as_deref())
     }
 }
 
@@ -174,8 +165,9 @@ impl Runner {
 mod tests {
     use super::*;
     use crate::config::ExperimentScale;
-    use crate::observe::{PerfCounters, TimeSeriesRecorder};
+    use crate::observe::{NullObserver, Observer, ShardInfo, TimeSeriesRecorder};
     use crate::scenario;
+    use std::sync::{Arc, Mutex};
 
     fn config() -> RunConfig {
         RunConfig::paper(&ExperimentScale::quick())
@@ -212,15 +204,32 @@ mod tests {
         let plain = Runner::new(config.clone())
             .technique(Technique::TwiCe)
             .run(scenario::paper_mix(&config, 9));
-        let perf = PerfCounters::default();
         let observed = Runner::new(config.clone())
             .technique(Technique::TwiCe)
             .observer(TimeSeriesRecorder::new(32))
-            .observer(perf.clone())
             .run(scenario::paper_mix(&config, 9));
         assert!(observed.timeseries.is_some());
         assert_eq!(plain, observed.clone().without_timeseries());
-        assert!(!perf.shards().is_empty());
+    }
+
+    #[test]
+    fn a_second_observer_replaces_the_first() {
+        /// Counts the shards it is forked for.
+        struct Forks(Arc<Mutex<u64>>);
+        impl Observe for Forks {
+            fn observer(&self, _: &ShardInfo) -> Box<dyn Observer> {
+                *self.0.lock().expect("fork count lock") += 1;
+                Box::new(NullObserver)
+            }
+        }
+        let config = config();
+        let forks = Arc::new(Mutex::new(0));
+        let metrics = Runner::new(config.clone())
+            .observer(Forks(Arc::clone(&forks)))
+            .observer(TimeSeriesRecorder::new(16))
+            .run(scenario::paper_mix(&config, 2));
+        assert_eq!(*forks.lock().expect("fork count lock"), 0);
+        assert!(metrics.timeseries.is_some());
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! Quickstart: protect a DRAM bank against a row-hammer attack with
 //! TiVaPRoMi — first by driving the substrate directly, then through
-//! the [`Runner`] builder with a time-series observer and wall-clock
-//! perf counters attached.
+//! the [`Runner`] builder with a time-series observer attached.
 //!
 //! Run with `cargo run --release --example quickstart`.
 
 use tivapromi_suite::dram::{BankId, Command, DramDevice, Geometry, RowAddr};
 use tivapromi_suite::harness::{scenario, ExperimentScale, RunConfig};
 use tivapromi_suite::tivapromi::{Mitigation, TimeVarying, TivaConfig};
-use tivapromi_suite::{PerfCounters, Runner, TimeSeriesRecorder};
+use tivapromi_suite::{Runner, TimeSeriesRecorder};
 
 fn main() {
     // The paper's DDR4 geometry: 65 536 rows per bank, 8192 refresh
@@ -63,15 +62,12 @@ fn main() {
 
     // The same protection through the harness's one documented
     // entrypoint: the Runner builder, here with a time-series recorder
-    // watching the run from inside the engine and wall-clock perf
-    // counters timing each shard.
+    // watching the run from inside the engine.
     let config = RunConfig::paper(&ExperimentScale::quick());
     let trace = scenario::paper_mix(&config, 42);
-    let perf = PerfCounters::default();
     let metrics = Runner::new(config)
         .seed(42) // defaults to LoLiPRoMi
         .observer(TimeSeriesRecorder::new(1024))
-        .observer(perf.clone())
         .run(trace);
     let series = metrics.timeseries.as_ref().expect("recorder attached");
     println!(
@@ -82,6 +78,4 @@ fn main() {
         series.points.len()
     );
     assert_eq!(metrics.flips, 0, "mixed workload must stay safe");
-    println!("\nEngine shard throughput (LoLiPRoMi, mixed trace)");
-    print!("{}", perf.render());
 }

@@ -34,6 +34,7 @@ use rh_hwmodel::Technique;
 use rh_redteam::{run_search, SearchConfig};
 use std::fs::File;
 use std::io::{self, Write};
+use std::num::NonZeroU64;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -296,21 +297,24 @@ fn export(args: &Args, _out: &mut Out) -> Result<(), Failure> {
 /// the paper's ramping attack, or with `--attack`'s catalog attack.
 fn timeline(args: &Args, out: &mut Out) -> Result<(), Failure> {
     let scale = scale(args)?;
+    let techniques = || Technique::TABLE3.into_iter().chain([Technique::Cat]);
     let technique = match args.raw("technique") {
         None => Technique::LoLiPromi,
-        Some(name) => Technique::TABLE3
-            .into_iter()
-            .chain([Technique::Cat])
+        Some(name) => techniques()
             .find(|t| t.name().eq_ignore_ascii_case(name))
             .ok_or_else(|| {
-                let known: Vec<&str> = Technique::TABLE3.iter().map(|t| t.name()).collect();
+                let known: Vec<&str> = techniques().map(Technique::name).collect();
                 Failure::Usage(format!(
                     "unknown technique {name:?}; known: {}",
                     known.join(", ")
                 ))
             })?,
     };
-    let stride: u64 = get_or(args, "stride", 64)?;
+    // A stride of 0 is a usage error, not a silent stride of 1.
+    let stride = args
+        .get::<NonZeroU64>("stride")
+        .map_err(Failure::Usage)?
+        .map_or(64, NonZeroU64::get);
     let backend = get_or(args, "--backend", BackendSpec::Exact)?;
     let attack = args.raw("--attack");
 

@@ -32,6 +32,5 @@ pub use tivapromi;
 // The user-facing run API, flattened to the facade root so examples
 // need a single import path.
 pub use rh_harness::{
-    DisturbanceHistogram, Observe, Observer, PerfCounters, RunMetrics, Runner, TechniqueSpec,
-    TimeSeries, TimeSeriesRecorder,
+    Observe, Observer, RunMetrics, Runner, TechniqueSpec, TimeSeries, TimeSeriesRecorder,
 };

@@ -198,7 +198,7 @@ struct WindowProbe {
 }
 
 impl Observer for WindowProbe {
-    fn on_interval_end(&mut self, snapshot: &IntervalSnapshot<'_>) {
+    fn on_interval_end(&mut self, snapshot: &IntervalSnapshot) {
         let next = snapshot.interval + 1;
         if next == self.from {
             self.before = allocations();

@@ -238,37 +238,40 @@ fn timeseries_recorder_does_not_perturb_results() {
     assert_eq!(plain, observed.without_timeseries());
 }
 
-/// With observers attached, sharded runs stay bit-identical to the
+/// With an observer attached, sharded runs stay bit-identical to the
 /// sequential run — including the recorded time series, whose merge is
 /// associative over bank shards — at 1, 2 and `available_parallelism`
-/// workers.
+/// workers, on 8 banks and on a bank count that is not a power of two.
 #[test]
 fn observed_sharded_runs_match_observed_sequential() {
     let seed = 5;
     let available = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    for technique in [Technique::Para, Technique::TwiCe, Technique::LoLiPromi] {
-        let base = config().with_parallelism(Parallelism::sequential());
-        let sequential = Runner::new(base.clone())
-            .technique(technique)
-            .seed(seed)
-            .observer(TimeSeriesRecorder::new(32))
-            .run(mix(&base, seed));
-        assert!(sequential.timeseries.is_some());
-        for workers in [1, 2, available] {
-            let parallel = base
-                .clone()
-                .with_parallelism(Parallelism::with_workers(workers));
-            let sharded = Runner::new(parallel.clone())
+    for banks in [BANKS, 3] {
+        let mut base = config().with_parallelism(Parallelism::sequential());
+        base.geometry = base.geometry.with_banks(banks);
+        for technique in [Technique::Para, Technique::TwiCe, Technique::LoLiPromi] {
+            let sequential = Runner::new(base.clone())
                 .technique(technique)
                 .seed(seed)
                 .observer(TimeSeriesRecorder::new(32))
-                .run(mix(&parallel, seed));
-            assert_eq!(
-                sequential, sharded,
-                "{technique} observed run diverged at {workers} workers"
-            );
+                .run(mix(&base, seed));
+            assert!(sequential.timeseries.is_some());
+            for workers in [1, 2, available] {
+                let parallel = base
+                    .clone()
+                    .with_parallelism(Parallelism::with_workers(workers));
+                let sharded = Runner::new(parallel.clone())
+                    .technique(technique)
+                    .seed(seed)
+                    .observer(TimeSeriesRecorder::new(32))
+                    .run(mix(&parallel, seed));
+                assert_eq!(
+                    sequential, sharded,
+                    "{technique} observed run diverged on {banks} banks at {workers} workers"
+                );
+            }
         }
     }
 }

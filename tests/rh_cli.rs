@@ -204,6 +204,10 @@ fn bad_command_lines_are_usage_errors_and_help_is_not() {
             Expect::Usage(TIMELINE),
         ),
         (
+            &["timeline", "quick", "PARA", "0", dir],
+            Expect::Usage(TIMELINE),
+        ),
+        (
             &["timeline", "huge", "PARA", "64", dir],
             Expect::Usage(TIMELINE),
         ),
