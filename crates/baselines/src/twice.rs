@@ -147,7 +147,12 @@ impl TwiCe {
         assert!(config.pruning_rate > 0, "pruning rate must be nonzero");
         assert!(config.max_entries > 0, "CAM must be nonempty");
         TwiCe {
-            tables: (0..config.banks).map(|_| Vec::new()).collect(),
+            // Each CAM is sized once: eviction keeps it within
+            // `max_entries`, and it holds distinct rows of one bank, so
+            // no activation grows it.
+            tables: (0..config.banks)
+                .map(|_| Vec::with_capacity(config.max_entries.min(config.rows_per_bank as usize)))
+                .collect(),
             config,
             peak_entries: 0,
         }

@@ -112,6 +112,21 @@ pub enum AttackKind {
     },
 }
 
+impl AttackKind {
+    /// The most aggressor rows this pattern hammers in any one interval.
+    fn largest_aggressor_set(&self) -> usize {
+        let count = match *self {
+            AttackKind::SingleSided { .. } | AttackKind::Flooding { .. } => 1,
+            AttackKind::DoubleSided { .. } | AttackKind::ProfilingSweep { .. } => 2,
+            AttackKind::DecoyAssisted { decoys, .. } => decoys.saturating_add(2),
+            AttackKind::MultiAggressorRamp { max_aggressors, .. }
+            | AttackKind::PhaseShifted { max_aggressors, .. } => max_aggressors.max(1),
+            AttackKind::RefreshSyncBurst { pairs, .. } => pairs.max(1),
+        };
+        usize::try_from(count).expect("aggressor count fits usize")
+    }
+}
+
 /// Number of disjoint aggressor-block positions
 /// [`AttackKind::PhaseShifted`] cycles through.
 pub const PHASE_SHIFT_SLOTS: u64 = 4;
@@ -225,11 +240,13 @@ impl Attacker {
             config.acts_per_interval > 0,
             "attack budget must be nonzero"
         );
+        // Sized once for the largest block, so no interval grows it.
+        let block = Vec::with_capacity(config.kind.largest_aggressor_set());
         Attacker {
             config,
             interval: 0,
             rotation: 0,
-            block: Vec::new(),
+            block,
         }
     }
 
@@ -767,5 +784,56 @@ mod tests {
             .filter(|e| e.row == RowAddr(99) || e.row == RowAddr(101))
             .count();
         assert_eq!(pair, 40);
+    }
+
+    #[test]
+    fn no_interval_outgrows_the_presized_block() {
+        let kinds = [
+            AttackKind::SingleSided {
+                aggressor: RowAddr(5),
+            },
+            AttackKind::DoubleSided {
+                victim: RowAddr(100),
+            },
+            AttackKind::Flooding { row: RowAddr(7) },
+            AttackKind::DecoyAssisted {
+                victim: RowAddr(300),
+                decoys: 12,
+            },
+            AttackKind::MultiAggressorRamp {
+                base_row: RowAddr(500),
+                max_aggressors: 20,
+            },
+            AttackKind::PhaseShifted {
+                base_row: RowAddr(500),
+                max_aggressors: 0,
+                shift_intervals: 4,
+            },
+            AttackKind::ProfilingSweep {
+                base_row: RowAddr(10),
+                span_rows: 3,
+                dwell_intervals: 2,
+            },
+            AttackKind::RefreshSyncBurst {
+                base_row: RowAddr(40),
+                pairs: 6,
+                duty_intervals: 3,
+                period_intervals: 8,
+                phase: 1,
+            },
+        ];
+        for kind in kinds {
+            let a = Attacker::new(AttackConfig {
+                kind,
+                target_banks: vec![BankId(0)],
+                acts_per_interval: 24,
+                start_interval: 2,
+                intervals: 64,
+                ramp_hold_intervals: 3,
+            });
+            let largest = (0..64).map(|i| a.aggressors_at(i).len()).max();
+            assert_eq!(largest, Some(kind.largest_aggressor_set()), "{kind:?}");
+            assert!(a.block.capacity() >= kind.largest_aggressor_set());
+        }
     }
 }

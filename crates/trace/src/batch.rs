@@ -10,6 +10,13 @@
 //! and target `target_events` activations (default
 //! [`DEFAULT_BATCH_EVENTS`]); the target is soft — intervals are never
 //! split across batches, so a single heavy interval may overshoot it.
+//!
+//! Every interval enters as column copies, never event by event:
+//! [`EventBatch::push_interval`] copies an interval of [`TraceEvent`]s
+//! one column at a time (the default shim, the mix and a whole
+//! recording deliver this way), a recorded bank lane appends a bank
+//! fill plus its row and aggressor slices, and
+//! [`EventBatch::push_empty_intervals`] ticks idle intervals.
 
 use crate::event::TraceEvent;
 use dram_sim::{BankId, RowAddr};
@@ -179,33 +186,31 @@ impl Iterator for BankRuns<'_> {
 }
 
 impl EventBatch {
-    /// Appends one event to the interval currently being filled.
-    ///
-    /// The native fast path for sources that merge directly into the
-    /// batch: push events, then close the interval with
-    /// [`EventBatch::end_interval`] (every pushed event must be closed
-    /// by a boundary before the batch is consumed).
-    #[inline]
-    pub fn push_event(&mut self, bank: BankId, row: RowAddr, aggressor: bool) {
-        self.banks.push(bank);
-        self.rows.push(row);
-        self.aggressors.push(aggressor);
-    }
-
-    /// Closes the interval currently being filled (possibly empty).
-    #[inline]
-    pub fn end_interval(&mut self) {
+    /// Appends one whole interval's events and closes its boundary.
+    pub fn push_interval(&mut self, events: &[TraceEvent]) {
+        self.banks.extend(events.iter().map(|e| e.bank));
+        self.rows.extend(events.iter().map(|e| e.row));
+        self.aggressors.extend(events.iter().map(|e| e.aggressor));
         self.boundaries.push(self.banks.len());
     }
 
-    /// Appends one whole interval's events and closes its boundary.
-    pub fn push_interval(&mut self, events: &[TraceEvent]) {
-        self.banks.reserve(events.len());
-        for e in events {
-            self.banks.push(e.bank);
-            self.rows.push(e.row);
-            self.aggressors.push(e.aggressor);
-        }
+    /// Appends one whole interval of `bank`'s events, given as its row
+    /// and aggressor columns, and closes its boundary: a bank fill and
+    /// two slice copies, the delivery of a recorded bank lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two columns differ in length.
+    pub(crate) fn push_bank_interval(
+        &mut self,
+        bank: BankId,
+        rows: &[RowAddr],
+        aggressors: &[bool],
+    ) {
+        assert_eq!(rows.len(), aggressors.len(), "one aggressor label per row");
+        self.banks.resize(self.banks.len() + rows.len(), bank);
+        self.rows.extend_from_slice(rows);
+        self.aggressors.extend_from_slice(aggressors);
         self.boundaries.push(self.banks.len());
     }
 
@@ -254,6 +259,25 @@ mod tests {
         assert_eq!(batch.segment(1), 2..2);
         assert_eq!(batch.segment(2), 2..3);
         assert_eq!(batch.event(2), ev(0, 3));
+    }
+
+    #[test]
+    fn bank_intervals_fill_the_bank_column() {
+        let mut batch = EventBatch::new();
+        batch.push_interval(&[ev(0, 1)]);
+        batch.push_bank_interval(BankId(7), &[RowAddr(4), RowAddr(5)], &[true, false]);
+        batch.push_bank_interval(BankId(7), &[], &[]);
+        assert_eq!(batch.intervals(), 3);
+        assert_eq!(batch.segment(1), 1..3);
+        assert_eq!(batch.segment(2), 3..3);
+        assert_eq!(batch.event(1), TraceEvent::attack(BankId(7), RowAddr(4)));
+        assert_eq!(batch.event(2), TraceEvent::benign(BankId(7), RowAddr(5)));
+    }
+
+    #[test]
+    #[should_panic(expected = "one aggressor label per row")]
+    fn bank_interval_columns_must_match() {
+        EventBatch::new().push_bank_interval(BankId(0), &[RowAddr(1)], &[]);
     }
 
     #[test]

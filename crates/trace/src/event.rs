@@ -330,11 +330,27 @@ enum Recording {
         intervals: Vec<Vec<TraceEvent>>,
         lanes: OnceLock<Vec<(BankId, Arc<Recording>)>>,
     },
-    /// One bank's events, contiguous; interval `i` ends at `ends[i]`.
+    /// One bank's events.
+    Lane(Lane),
+}
+
+/// One bank's events as a row column and an aggressor column; interval
+/// `i` ends at `ends[i]`.
+#[derive(Debug)]
+struct Lane {
+    bank: BankId,
+    rows: Vec<RowAddr>,
+    aggressors: Vec<bool>,
+    ends: Vec<usize>,
+}
+
+/// One recorded interval, as its recording stores it.
+enum Interval<'a> {
+    Events(&'a [TraceEvent]),
     Lane {
         bank: BankId,
-        events: Vec<TraceEvent>,
-        ends: Vec<usize>,
+        rows: &'a [RowAddr],
+        aggressors: &'a [bool],
     },
 }
 
@@ -342,48 +358,74 @@ impl Recording {
     fn len(&self) -> usize {
         match self {
             Recording::Whole { intervals, .. } => intervals.len(),
-            Recording::Lane { ends, .. } => ends.len(),
+            Recording::Lane(lane) => lane.ends.len(),
         }
     }
 
-    fn interval(&self, index: usize) -> Option<&[TraceEvent]> {
+    fn interval(&self, index: usize) -> Option<Interval<'_>> {
         match self {
-            Recording::Whole { intervals, .. } => intervals.get(index).map(Vec::as_slice),
-            Recording::Lane { events, ends, .. } => {
-                let end = *ends.get(index)?;
-                let start = index.checked_sub(1).map_or(0, |previous| ends[previous]);
-                Some(&events[start..end])
+            Recording::Whole { intervals, .. } => {
+                intervals.get(index).map(|events| Interval::Events(events))
+            }
+            Recording::Lane(lane) => {
+                let end = *lane.ends.get(index)?;
+                let start = index
+                    .checked_sub(1)
+                    .map_or(0, |previous| lane.ends[previous]);
+                Some(Interval::Lane {
+                    bank: lane.bank,
+                    rows: &lane.rows[start..end],
+                    aggressors: &lane.aggressors[start..end],
+                })
             }
         }
     }
 }
 
-/// Partitions `intervals` into per-bank lanes, in bank order.  Every
+/// Partitions `intervals` into per-bank lanes, in bank order, one
+/// same-bank run at a time.  Lanes are keyed by bank, never indexed by
+/// a bank id: a recording read from outside may name any id.  Every
 /// lane keeps every interval, empty where its bank is silent, so shards
 /// tick in step with the parent.
 fn split(intervals: &[Vec<TraceEvent>]) -> Vec<(BankId, Arc<Recording>)> {
-    // Sizing each lane before filling it allocates its events once,
+    let runs = || {
+        intervals.iter().enumerate().flat_map(|(index, events)| {
+            events
+                .chunk_by(|a, b| a.bank == b.bank)
+                .map(move |run| (index, run))
+        })
+    };
+    // Sizing each lane before filling it allocates its columns once,
     // without the copies and slack of a growing `Vec`.
     let mut sizes: BTreeMap<BankId, usize> = BTreeMap::new();
-    for event in intervals.iter().flatten() {
-        *sizes.entry(event.bank).or_default() += 1;
+    for (_, run) in runs() {
+        *sizes.entry(run[0].bank).or_default() += run.len();
     }
-    let mut lanes: BTreeMap<BankId, (Vec<TraceEvent>, Vec<usize>)> = sizes
+    let mut lanes: BTreeMap<BankId, Lane> = sizes
         .into_iter()
-        .map(|(bank, size)| (bank, (Vec::with_capacity(size), Vec::new())))
+        .map(|(bank, size)| {
+            let lane = Lane {
+                bank,
+                rows: Vec::with_capacity(size),
+                aggressors: Vec::with_capacity(size),
+                ends: Vec::with_capacity(intervals.len()),
+            };
+            (bank, lane)
+        })
         .collect();
-    for events in intervals {
-        for &event in events {
-            let (lane, _) = lanes.get_mut(&event.bank).expect("every bank was sized");
-            lane.push(event);
-        }
-        for (events, ends) in lanes.values_mut() {
-            ends.push(events.len());
-        }
+    for (index, run) in runs() {
+        let lane = lanes.get_mut(&run[0].bank).expect("every bank was sized");
+        // Close the intervals this lane was silent in.
+        lane.ends.resize(index, lane.rows.len());
+        lane.rows.extend(run.iter().map(|e| e.row));
+        lane.aggressors.extend(run.iter().map(|e| e.aggressor));
     }
     lanes
         .into_iter()
-        .map(|(bank, (events, ends))| (bank, Arc::new(Recording::Lane { bank, events, ends })))
+        .map(|(bank, mut lane)| {
+            lane.ends.resize(intervals.len(), lane.rows.len());
+            (bank, Arc::new(Recording::Lane(lane)))
+        })
         .collect()
 }
 
@@ -403,10 +445,10 @@ impl ReplayTrace {
     }
 
     /// The next recorded interval, advancing the cursor past it.
-    fn advance(&mut self) -> Option<&[TraceEvent]> {
-        let events = self.recording.interval(self.next)?;
+    fn advance(&mut self) -> Option<Interval<'_>> {
+        let interval = self.recording.interval(self.next)?;
         self.next += 1;
-        Some(events)
+        Some(interval)
     }
 }
 
@@ -419,12 +461,23 @@ impl Default for ReplayTrace {
 impl TraceSource for ReplayTrace {
     fn next_interval(&mut self, out: &mut Vec<TraceEvent>) -> bool {
         match self.advance() {
-            Some(events) => {
-                out.extend_from_slice(events);
-                true
-            }
-            None => false,
+            Some(Interval::Events(events)) => out.extend_from_slice(events),
+            Some(Interval::Lane {
+                bank,
+                rows,
+                aggressors,
+            }) => out.extend(
+                rows.iter()
+                    .zip(aggressors)
+                    .map(|(&row, &aggressor)| TraceEvent {
+                        bank,
+                        row,
+                        aggressor,
+                    }),
+            ),
+            None => return false,
         }
+        true
     }
 
     fn intervals_hint(&self) -> Option<u64> {
@@ -432,19 +485,22 @@ impl TraceSource for ReplayTrace {
     }
 
     fn next_batch(&mut self, batch: &mut EventBatch, max_intervals: u64) -> bool {
-        // Recorded intervals go straight into the SoA buffer, skipping
-        // the shim's staging copy.
+        // Recorded intervals go straight into the SoA buffer as column
+        // copies, skipping the shim's staging copy.
         batch.clear();
         let cap = max_intervals.min(batch.target_events() as u64);
         let mut delivered = 0u64;
         while delivered < cap && !batch.is_full() {
             match self.advance() {
-                Some(events) => {
-                    batch.push_interval(events);
-                    delivered += 1;
-                }
+                Some(Interval::Events(events)) => batch.push_interval(events),
+                Some(Interval::Lane {
+                    bank,
+                    rows,
+                    aggressors,
+                }) => batch.push_bank_interval(bank, rows, aggressors),
                 None => break,
             }
+            delivered += 1;
         }
         delivered > 0
     }
@@ -460,9 +516,7 @@ impl TraceSplit for ReplayTrace {
                     .ok()
                     .map(|index| Arc::clone(&lanes[index].1))
             }
-            Recording::Lane { bank: own, .. } => {
-                (*own == bank).then(|| Arc::clone(&self.recording))
-            }
+            Recording::Lane(lane) => (lane.bank == bank).then(|| Arc::clone(&self.recording)),
         };
         match lane {
             Some(recording) => Box::new(ReplayTrace { recording, next: 0 }),

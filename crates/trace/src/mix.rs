@@ -1,9 +1,8 @@
 //! Merging benign and attacker streams under the bank bandwidth budget.
 
-use crate::batch::EventBatch;
 use crate::event::{TraceEvent, TraceSource, TraceSplit};
 use dram_sim::BankId;
-use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Interleaves any number of trace sources, enforcing the per-bank
 /// per-interval activation cap of the DRAM timing.
@@ -35,14 +34,13 @@ use std::collections::BTreeMap;
 pub struct MixedTrace {
     sources: Vec<Box<dyn TraceSplit>>,
     max_acts_per_bank_interval: u32,
+    /// Each source's current interval, grouped by ascending bank.
     buffers: Vec<Vec<TraceEvent>>,
-    /// Persistent per-bank, per-source merge lanes reused by the
-    /// batched delivery path ([`MixedTrace::next_batch`]), indexed by
-    /// bank id.  `next_interval` deliberately keeps its original
-    /// allocate-per-interval merge: it is the independent reference the
-    /// sharding suite (`crates/trace/tests/sharding.rs`) holds
-    /// `next_batch` to, and the delivery `engine::run_scalar` uses.
-    lanes: Vec<Vec<Vec<TraceEvent>>>,
+    /// Per source, the range of its buffer holding the bank being
+    /// merged: each source's lane, read in place.
+    runs: Vec<Range<usize>>,
+    /// Where an interval that names banks out of order is regrouped.
+    regrouped: Vec<TraceEvent>,
     /// Events dropped so far by the bandwidth cap (diagnostic).
     dropped: u64,
 }
@@ -69,12 +67,12 @@ impl MixedTrace {
     pub fn new(sources: Vec<Box<dyn TraceSplit>>, max_acts_per_bank_interval: u32) -> Self {
         assert!(!sources.is_empty(), "mix needs at least one source");
         assert!(max_acts_per_bank_interval > 0, "cap must be nonzero");
-        let buffers = sources.iter().map(|_| Vec::new()).collect();
         MixedTrace {
+            buffers: vec![Vec::new(); sources.len()],
+            runs: vec![0..0; sources.len()],
             sources,
             max_acts_per_bank_interval,
-            buffers,
-            lanes: Vec::new(),
+            regrouped: Vec::new(),
             dropped: 0,
         }
     }
@@ -84,85 +82,63 @@ impl MixedTrace {
         self.dropped
     }
 
-    /// Merges one interval of all sources directly into `batch` and
-    /// closes its boundary — the same bank-major round-robin merge as
-    /// [`MixedTrace::next_interval`] (bit-identical event order and cap
-    /// drops), but through persistent lane buffers and the batch's SoA
-    /// columns, so the steady state allocates nothing.
-    fn merge_interval_into(&mut self, batch: &mut EventBatch) -> bool {
-        let mut any = false;
-        for (source, buffer) in self.sources.iter_mut().zip(&mut self.buffers) {
-            buffer.clear();
-            if source.next_interval(buffer) {
-                any = true;
-            }
-        }
-        if !any {
-            return false;
-        }
-
-        let source_count = self.buffers.len();
-        for bank_lanes in &mut self.lanes {
-            for lane in bank_lanes.iter_mut() {
-                lane.clear();
-            }
-        }
-        // Split each buffer into its bank lanes one same-bank run at a
-        // time (a bank shard's buffer is a single run).
-        for (index, buffer) in self.buffers.iter().enumerate() {
-            let mut rest = buffer.as_slice();
-            while let Some(first) = rest.first() {
-                let run = rest.iter().take_while(|e| e.bank == first.bank).count();
-                let bank = first.bank.index();
-                if bank >= self.lanes.len() {
-                    self.lanes
-                        .resize_with(bank + 1, || vec![Vec::new(); source_count]);
-                }
-                self.lanes[bank][index].extend_from_slice(&rest[..run]);
-                rest = &rest[run..];
-            }
-        }
-        // Lane indices ascend by bank id, matching the BTreeMap's
-        // ascending-key iteration; banks with no traffic this interval
-        // contribute nothing.
-        for bank_lanes in &self.lanes {
-            // Round `r` takes event `r` of every lane that long, so the
-            // round number is every lane's read position.  Rounds run
-            // while two or more lanes still hold events ...
-            let (mut longest, mut second) = (0, 0);
-            for lane in bank_lanes {
-                if lane.len() > longest {
-                    second = longest;
-                    longest = lane.len();
-                } else if lane.len() > second {
-                    second = lane.len();
-                }
-            }
-            let mut room = self.max_acts_per_bank_interval as usize;
-            for r in 0..second {
-                for event in bank_lanes.iter().filter_map(|lane| lane.get(r)) {
-                    if room > 0 {
-                        room -= 1;
-                        batch.push_event(event.bank, event.row, event.aggressor);
-                    } else {
-                        self.dropped += 1;
-                    }
-                }
-            }
-            // ... then the longest lane alone takes the rest of the budget.
-            for lane in bank_lanes.iter().filter(|lane| lane.len() > second) {
-                let rest = &lane[second..];
-                let kept = rest.len().min(room);
-                for event in &rest[..kept] {
-                    batch.push_event(event.bank, event.row, event.aggressor);
-                }
-                room -= kept;
-                self.dropped += (rest.len() - kept) as u64;
-            }
-        }
-        batch.end_interval();
-        true
+    /// The sources' lanes of the bank being merged.
+    fn lanes(&self) -> impl Iterator<Item = &[TraceEvent]> + Clone {
+        self.runs
+            .iter()
+            .zip(&self.buffers)
+            .map(|(run, buffer)| &buffer[run.clone()])
     }
+
+    /// Emits one bank's lanes round-robin under the cap, counting what
+    /// the cap drops.
+    fn merge_bank(&mut self, out: &mut Vec<TraceEvent>) {
+        // Round `r` takes event `r` of every lane that long, so the
+        // round number is every lane's read position.  Rounds run while
+        // two or more lanes still hold events ...
+        let (mut longest, mut second) = (0, 0);
+        for lane in self.lanes() {
+            if lane.len() > longest {
+                second = longest;
+                longest = lane.len();
+            } else if lane.len() > second {
+                second = lane.len();
+            }
+        }
+        let mut room = self.max_acts_per_bank_interval as usize;
+        let mut dropped = 0;
+        for r in 0..second {
+            for event in self.lanes().filter_map(|lane| lane.get(r)) {
+                if room > 0 {
+                    room -= 1;
+                    out.push(*event);
+                } else {
+                    dropped += 1;
+                }
+            }
+        }
+        // ... then the longest lane alone takes the rest of the budget.
+        for lane in self.lanes().filter(|lane| lane.len() > second) {
+            let rest = &lane[second..];
+            let kept = rest.len().min(room);
+            out.extend_from_slice(&rest[..kept]);
+            room -= kept;
+            dropped += rest.len() - kept;
+        }
+        self.dropped += dropped as u64;
+    }
+}
+
+/// Regroups `events` by ascending bank, each bank's events kept in
+/// order, through `scratch` (swapped in), without indexing by bank id.
+fn group_by_bank(events: &mut Vec<TraceEvent>, scratch: &mut Vec<TraceEvent>) {
+    scratch.clear();
+    let mut next = events.iter().map(|e| e.bank).min();
+    while let Some(bank) = next {
+        scratch.extend(events.iter().filter(|e| e.bank == bank));
+        next = events.iter().map(|e| e.bank).filter(|&b| b > bank).min();
+    }
+    std::mem::swap(events, scratch);
 }
 
 impl TraceSource for MixedTrace {
@@ -170,49 +146,36 @@ impl TraceSource for MixedTrace {
         let mut any = false;
         for (source, buffer) in self.sources.iter_mut().zip(&mut self.buffers) {
             buffer.clear();
-            if source.next_interval(buffer) {
-                any = true;
+            any |= source.next_interval(buffer);
+            // The synthetic generators emit bank-major; a recording
+            // need not.
+            if !buffer.is_sorted_by_key(|e| e.bank) {
+                group_by_bank(buffer, &mut self.regrouped);
             }
         }
         if !any {
             return false;
         }
-
-        // Split each source's batch by bank, preserving per-source order.
-        let mut lanes: BTreeMap<BankId, Vec<Vec<TraceEvent>>> = BTreeMap::new();
-        for (index, buffer) in self.buffers.iter().enumerate() {
-            for &event in buffer {
-                lanes
-                    .entry(event.bank)
-                    .or_insert_with(|| vec![Vec::new(); self.buffers.len()])[index]
-                    .push(event);
-            }
-        }
         // Bank-major emission: per bank, round-robin across the sources
         // under the cap.  Nothing outside a bank's own lanes influences
         // what is kept or dropped for it.
-        for lanes in lanes.into_values() {
-            let mut used = 0u32;
-            let mut cursors = vec![0usize; lanes.len()];
-            loop {
-                let mut progressed = false;
-                for (lane, cursor) in lanes.iter().zip(&mut cursors) {
-                    if *cursor < lane.len() {
-                        let event = lane[*cursor];
-                        *cursor += 1;
-                        progressed = true;
-                        if used < self.max_acts_per_bank_interval {
-                            used += 1;
-                            out.push(event);
-                        } else {
-                            self.dropped += 1;
-                        }
-                    }
-                }
-                if !progressed {
-                    break;
-                }
+        self.runs.fill(0..0);
+        while let Some(bank) = self
+            .runs
+            .iter()
+            .zip(&self.buffers)
+            .filter_map(|(run, buffer)| buffer.get(run.end))
+            .map(|e| e.bank)
+            .min()
+        {
+            for (run, buffer) in self.runs.iter_mut().zip(&self.buffers) {
+                let len = buffer[run.end..]
+                    .iter()
+                    .take_while(|e| e.bank == bank)
+                    .count();
+                *run = run.end..run.end + len;
             }
+            self.merge_bank(out);
         }
         true
     }
@@ -233,25 +196,6 @@ impl TraceSource for MixedTrace {
             .map(|s| s.max_batch_intervals())
             .min()
             .unwrap_or(u64::MAX)
-    }
-
-    fn next_batch(&mut self, batch: &mut EventBatch, max_intervals: u64) -> bool {
-        // Native batched delivery: merge each interval straight into
-        // the batch's SoA columns through persistent lane buffers,
-        // skipping both the per-interval lane allocations and the
-        // AoS staging copy the default shim would pay.
-        batch.clear();
-        let cap = max_intervals
-            .min(self.max_batch_intervals())
-            .min(batch.target_events() as u64);
-        let mut delivered = 0u64;
-        while delivered < cap && !batch.is_full() {
-            if !self.merge_interval_into(batch) {
-                break;
-            }
-            delivered += 1;
-        }
-        delivered > 0
     }
 }
 

@@ -96,7 +96,8 @@ struct BankState {
 impl BankState {
     fn new(config: &WorkloadConfig, seed: u64, id: BankId) -> Self {
         let mut rng = StdRng::seed_from_u64(bank_seed(seed, id));
-        let hot_set = SpecLikeWorkload::draw_hot_set(config, &mut rng);
+        let mut hot_set = Vec::with_capacity(config.hot_rows);
+        SpecLikeWorkload::draw_hot_set(config, &mut rng, &mut hot_set);
         BankState { id, hot_set, rng }
     }
 }
@@ -165,19 +166,19 @@ impl SpecLikeWorkload {
         );
     }
 
-    fn draw_hot_set(config: &WorkloadConfig, rng: &mut StdRng) -> Vec<RowAddr> {
+    /// Refills `set` in place with a fresh hot set.
+    fn draw_hot_set(config: &WorkloadConfig, rng: &mut StdRng, set: &mut Vec<RowAddr>) {
         // Hot rows are distinct and non-adjacent: they model different
         // hot pages, and two adjacent hot rows would double-disturb the
         // row between them — benign traffic alone must never approach
         // the flip threshold.
-        let mut set: Vec<RowAddr> = Vec::with_capacity(config.hot_rows);
+        set.clear();
         while set.len() < config.hot_rows {
             let candidate = RowAddr(rng.random_range(0..config.rows_per_bank));
             if set.iter().all(|r| r.0.abs_diff(candidate.0) > 1) {
                 set.push(candidate);
             }
         }
-        set
     }
 
     /// Draws a Poisson count with the configured mean (Knuth's method —
@@ -231,7 +232,7 @@ impl TraceSource for SpecLikeWorkload {
         for bank in &mut self.banks {
             // Phase boundary: re-draw this bank's working set.
             if redraw {
-                bank.hot_set = Self::draw_hot_set(&self.config, &mut bank.rng);
+                Self::draw_hot_set(&self.config, &mut bank.rng, &mut bank.hot_set);
             }
             let n = Self::poisson(&self.config, self.poisson_floor, &mut bank.rng);
             for _ in 0..n {

@@ -8,6 +8,8 @@
 //! across intervals), independent of which other banks exist.  Every
 //! parent and shard is drained twice, through `next_interval` and
 //! through the engine's delivery path, `next_batch`, and both must agree.
+//! The mix is also held to `model_mix`, a map-based reference merge, on
+//! recordings whose intervals name banks in any order.
 
 use dram_sim::{BankId, Geometry, RowAddr};
 use mem_trace::{
@@ -15,6 +17,7 @@ use mem_trace::{
     TraceEvent, TraceSource, TraceSplit, WorkloadConfig,
 };
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Drains a source into per-interval batches.
 fn drain<S: TraceSource>(mut source: S) -> Vec<Vec<TraceEvent>> {
@@ -125,6 +128,64 @@ fn recorded() -> impl Strategy<Value = Vec<Vec<TraceEvent>>> {
     })
 }
 
+/// The reference mix: `sources[s][i]` is source `s`'s interval `i`.
+/// Per interval, each source's events are split into bank lanes
+/// through a map; per bank, in ascending order, the lanes are
+/// interleaved round-robin and everything past `cap` is dropped.
+/// Returns the merged intervals and the number of dropped events.
+fn model_mix(sources: &[Vec<Vec<TraceEvent>>], cap: u32) -> (Vec<Vec<TraceEvent>>, u64) {
+    let intervals = sources.iter().map(Vec::len).max().unwrap_or(0);
+    let mut merged = Vec::with_capacity(intervals);
+    let mut dropped = 0;
+    for interval in 0..intervals {
+        let mut lanes: BTreeMap<BankId, Vec<Vec<TraceEvent>>> = BTreeMap::new();
+        for (index, source) in sources.iter().enumerate() {
+            for &event in source.get(interval).into_iter().flatten() {
+                lanes
+                    .entry(event.bank)
+                    .or_insert_with(|| vec![Vec::new(); sources.len()])[index]
+                    .push(event);
+            }
+        }
+        let mut out = Vec::new();
+        for lanes in lanes.into_values() {
+            let mut used = 0u32;
+            let mut cursors = vec![0usize; lanes.len()];
+            loop {
+                let mut progressed = false;
+                for (lane, cursor) in lanes.iter().zip(&mut cursors) {
+                    if let Some(&event) = lane.get(*cursor) {
+                        *cursor += 1;
+                        progressed = true;
+                        if used < cap {
+                            used += 1;
+                            out.push(event);
+                        } else {
+                            dropped += 1;
+                        }
+                    }
+                }
+                if !progressed {
+                    break;
+                }
+            }
+        }
+        merged.push(out);
+    }
+    (merged, dropped)
+}
+
+/// A mix of one replay per recording under `cap`.
+fn replay_mix(recordings: &[Vec<Vec<TraceEvent>>], cap: u32) -> MixedTrace {
+    MixedTrace::new(
+        recordings
+            .iter()
+            .map(|intervals| Box::new(ReplayTrace::new(intervals.clone())) as Box<dyn TraceSplit>)
+            .collect(),
+        cap,
+    )
+}
+
 fn attacker(kind_index: usize, banks: u32, intervals: u64) -> Attacker {
     let kind = match kind_index {
         0 => AttackKind::SingleSided {
@@ -201,6 +262,32 @@ proptest! {
             banks,
             target_events,
         );
+    }
+
+    /// A mix of recordings whose intervals name banks in any order
+    /// delivers exactly the reference mix's events, interval by
+    /// interval, through both delivery paths, and drops what it drops,
+    /// at caps small enough to bind.
+    #[test]
+    fn mixed_replays_match_the_reference_merge(
+        recordings in proptest::collection::vec(recorded(), 2..=3),
+        cap in 1u32..=8,
+        target_events in 1usize..=64,
+    ) {
+        let (expected, dropped) = model_mix(&recordings, cap);
+        let mut mix = replay_mix(&recordings, cap);
+        let mut delivered = Vec::new();
+        let mut out = Vec::new();
+        while mix.next_interval(&mut out) {
+            delivered.push(std::mem::take(&mut out));
+        }
+        prop_assert_eq!(&delivered, &expected);
+        prop_assert_eq!(mix.dropped(), dropped);
+        for target in [1, target_events, 4096] {
+            let mut mix = replay_mix(&recordings, cap);
+            prop_assert_eq!(&drain_batched(&mut mix, target), &expected);
+            prop_assert_eq!(mix.dropped(), dropped);
+        }
     }
 
     /// Replayed traces shard by plain per-interval bank filtering.
@@ -288,4 +375,42 @@ fn shards_are_reproducible() {
         let b = drain(make().bank_shard(bank));
         assert_eq!(a, b);
     }
+}
+
+#[test]
+fn recordings_with_extreme_bank_ids_shard_and_mix() {
+    // A recording read from outside may name any bank id; no lane or
+    // merge may be a table indexed by it.
+    let (low, high) = (BankId(0), BankId(u32::MAX));
+    let recording = vec![
+        vec![
+            TraceEvent::benign(high, RowAddr(1)),
+            TraceEvent::attack(low, RowAddr(2)),
+            TraceEvent::benign(high, RowAddr(3)),
+        ],
+        vec![],
+        vec![TraceEvent::attack(high, RowAddr(4))],
+    ];
+    let trace = ReplayTrace::new(recording.clone());
+    for bank in [low, high] {
+        let expected: Vec<Vec<TraceEvent>> = recording
+            .iter()
+            .map(|events| events.iter().filter(|e| e.bank == bank).copied().collect())
+            .collect();
+        for target_events in [1, 2, 64] {
+            assert_eq!(
+                drain_both(&|| trace.bank_shard(bank), target_events),
+                expected,
+                "{bank:?} shard"
+            );
+        }
+    }
+    let (expected, dropped) = model_mix(&[recording.clone(), recording.clone()], 3);
+    for target_events in [1, 2, 64] {
+        let mix = || Box::new(replay_mix(&[recording.clone(), recording.clone()], 3)) as _;
+        assert_eq!(drain_both(&mix, target_events), expected);
+    }
+    let mut mix = replay_mix(&[recording.clone(), recording], 3);
+    drain(&mut mix);
+    assert_eq!(mix.dropped(), dropped);
 }

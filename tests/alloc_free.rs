@@ -16,22 +16,27 @@
 //!
 //! The first test drives the mitigation layer directly, isolating the
 //! decision side — the arena, the kernels, the interval turnover.  The
-//! second drives the whole engine over a recorded trace on every
-//! backend tier, so replay, the aggressor ledger and device refresh are
-//! held to the same contract.  Its traffic stays far below the flip
-//! threshold: a flip log grows with device state, which is workload
-//! physics, not engine overhead.
+//! second drives the whole engine on every backend tier, so trace
+//! delivery, replay, the aggressor ledger and device refresh are held
+//! to the same contract.  Its traces are a recording and the paper mix,
+//! each whole and as a bank shard, so the recording's bank lanes and the
+//! mix's merge and synthesis are measured too.  Its traffic never flips
+//! a bit: a flip log grows with device state, which is workload
+//! physics, not engine overhead.  For the same reason the paper mix
+//! skips the fast tier, whose list of each interval's touched rows
+//! grows with the distinct rows per bank-interval, a count the mix's
+//! ramp raises window after window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use dram_sim::{BackendSpec, BankId, Geometry, RowAddr};
 use tivapromi_suite::harness::{
-    engine, techniques, ExperimentScale, IntervalSnapshot, Observer, RunConfig,
+    engine, scenario, techniques, ExperimentScale, IntervalSnapshot, Observer, RunConfig,
 };
 use tivapromi_suite::hwmodel::Technique;
 use tivapromi_suite::tivapromi::{ActionSink, Mitigation};
-use tivapromi_suite::trace::{EventBatch, ReplayTrace, TraceEvent};
+use tivapromi_suite::trace::{EventBatch, ReplayTrace, TraceEvent, TraceSplit};
 
 /// Counts every allocation and reallocation made by the measuring
 /// thread; frees are not counted — the contract is "no heap traffic",
@@ -211,42 +216,63 @@ impl Observer for WindowProbe {
 }
 
 /// Zero heap allocations per steady-state engine window, for all nine
-/// techniques on every backend tier: two warm-up windows, then one
-/// measured window of the engine replaying a recorded trace.
+/// techniques on every backend tier and every trace input: two warm-up
+/// windows, then one measured window of the engine.
 #[test]
 fn steady_state_engine_windows_never_allocate() {
     let base = config();
     let intervals_per_window = u64::from(base.geometry.intervals_per_window());
-    let recorded = vec![interval_events(); usize::try_from(base.intervals()).expect("fits")];
+    let recorded = ReplayTrace::new(vec![
+        interval_events();
+        usize::try_from(base.intervals()).expect("fits")
+    ]);
+    let shard = BankId(1);
+    // Each input: its name, whether it runs on the fast tier (see the
+    // module docs), and its trace for a configuration.
+    type Input<'a> = (&'a str, bool, &'a dyn Fn(&RunConfig) -> Box<dyn TraceSplit>);
+    let inputs: [Input; 4] = [
+        ("recording", true, &|_| Box::new(recorded.clone())),
+        ("recording shard", true, &|_| recorded.bank_shard(shard)),
+        ("paper mix", false, &|config| {
+            Box::new(scenario::paper_mix(config, 5))
+        }),
+        ("paper mix shard", false, &|config| {
+            scenario::paper_mix(config, 5).bank_shard(shard)
+        }),
+    ];
     for backend in BackendSpec::ALL {
         let config = base.clone().with_backend(backend);
-        let mut triggers = 0;
-        for technique in Technique::TABLE3 {
-            let mut mitigation = techniques::build_any(technique, &config, 17);
-            let mut probe = WindowProbe {
-                from: 2 * intervals_per_window,
-                to: 3 * intervals_per_window,
-                allocations: None,
-                before: 0,
-            };
-            let metrics = engine::run_observed(
-                ReplayTrace::new(recorded.clone()),
-                &mut mitigation,
-                &config,
-                &mut probe,
+        for (input, on_fast, trace) in inputs {
+            if backend == BackendSpec::Fast && !on_fast {
+                continue;
+            }
+            let mut triggers = 0;
+            for technique in Technique::TABLE3 {
+                let mut mitigation = techniques::build_any(technique, &config, 17);
+                let mut probe = WindowProbe {
+                    from: 2 * intervals_per_window,
+                    to: 3 * intervals_per_window,
+                    allocations: None,
+                    before: 0,
+                };
+                let metrics =
+                    engine::run_observed(trace(&config), &mut mitigation, &config, &mut probe);
+                assert_eq!(metrics.intervals, 3 * intervals_per_window);
+                assert_eq!(
+                    metrics.flips, 0,
+                    "{technique:?} on {backend}, {input}: traffic must not flip"
+                );
+                assert_eq!(
+                    probe.allocations,
+                    Some(0),
+                    "{technique:?} on {backend}, {input}: allocations in a steady-state engine window"
+                );
+                triggers += metrics.trigger_events;
+            }
+            assert!(
+                triggers > 0,
+                "{backend}, {input}: no trigger path was exercised"
             );
-            assert_eq!(metrics.intervals, 3 * intervals_per_window);
-            assert_eq!(
-                metrics.flips, 0,
-                "{technique:?} on {backend}: traffic must not flip"
-            );
-            assert_eq!(
-                probe.allocations,
-                Some(0),
-                "{technique:?} on {backend}: allocations in a steady-state engine window"
-            );
-            triggers += metrics.trigger_events;
         }
-        assert!(triggers > 0, "{backend}: no trigger path was exercised");
     }
 }
