@@ -16,7 +16,7 @@
 //! aggressor rows precisely" — when the node budget is exhausted, splits
 //! stop and precision is lost.
 
-use dram_sim::{BankId, Geometry, RowAddr, FLIP_THRESHOLD};
+use dram_sim::{Geometry, FLIP_THRESHOLD};
 use mem_trace::EventBatch;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -208,14 +208,6 @@ impl Mitigation for CounterTree {
         "CAT"
     }
 
-    fn on_activate(&mut self, bank: BankId, row: RowAddr, actions: &mut Vec<MitigationAction>) {
-        let tree = &mut self.trees[bank.index()];
-        if tree.insert(row.0, &self.config) {
-            actions.push(MitigationAction::ActivateNeighbors { bank, row });
-        }
-        self.peak_nodes = self.peak_nodes.max(tree.nodes.len());
-    }
-
     #[allow(
         clippy::cast_possible_truncation,
         reason = "event tags: segment indices are bounded by the batch length, far below u32::MAX"
@@ -263,6 +255,7 @@ impl Mitigation for CounterTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dram_sim::{BankId, RowAddr};
 
     fn cat() -> CounterTree {
         CounterTree::paper(&Geometry::paper().with_banks(1))
@@ -332,7 +325,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_kernel_matches_scalar_path() {
+    fn batched_kernel_matches_one_event_batches() {
         use mem_trace::TraceEvent;
         use tivapromi::ActionSink;
         let cfg = CounterTreeConfig {

@@ -125,15 +125,6 @@ impl Mitigation for Cra {
         "CRA"
     }
 
-    fn on_activate(&mut self, bank: BankId, row: RowAddr, actions: &mut Vec<MitigationAction>) {
-        let counter = &mut self.counters[bank.index()][row.index()];
-        *counter += 1;
-        if *counter >= self.config.trigger_threshold {
-            *counter = 0;
-            actions.push(MitigationAction::ActivateNeighbors { bank, row });
-        }
-    }
-
     #[allow(
         clippy::cast_possible_truncation,
         reason = "event tags: segment indices are bounded by the batch length, far below u32::MAX"
@@ -230,7 +221,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_kernel_matches_scalar_path() {
+    fn batched_kernel_matches_one_event_batches() {
         use mem_trace::TraceEvent;
         use tivapromi::ActionSink;
         let cfg = CraConfig {

@@ -3,10 +3,12 @@
 //! The engine's hot loop used to call `&mut dyn Mitigation` once per
 //! activation — a vtable indirection the optimiser cannot see through.
 //! [`AnyMitigation`] closes the set: one enum variant per concrete
-//! technique, so the per-event inner loop compiles to a `match` whose
-//! arms inline the techniques' `on_activate`/`on_batch` bodies.  The
-//! engine makes **one** dispatch per interval segment (via
-//! [`Mitigation::on_batch`]) instead of one per event.
+//! technique, so the engine makes **one** dispatch per interval segment
+//! — a `match` whose arms inline the techniques' [`Mitigation::on_batch`]
+//! kernels — instead of one per event.  The enum also forwards
+//! `on_activate`, so the scalar reference loop reaches the eager paper
+//! forms that MRLoc and the TiVaPRoMi variants keep as their kernels'
+//! oracles.
 //!
 //! The enum lives here rather than in the harness because it closes
 //! over the concrete types of this crate and `tivapromi`; the harness's
@@ -86,7 +88,7 @@ impl Mitigation for AnyMitigation {
 
     fn on_batch(&mut self, batch: &EventBatch, range: Range<usize>, sink: &mut ActionSink) {
         // One match per interval segment; each arm monomorphises the
-        // technique's (possibly overridden) batched loop.
+        // technique's kernel.
         dispatch!(self, m => m.on_batch(batch, range, sink))
     }
 }

@@ -70,8 +70,7 @@ struct Summary {
 
 impl Summary {
     /// One Misra–Gries update; returns whether the estimate crossed
-    /// another threshold multiple (→ `act_n`).  Shared by the scalar
-    /// path and the lane kernel.
+    /// another threshold multiple (→ `act_n`).
     fn observe(&mut self, row: RowAddr, threshold: u32, capacity: usize) -> bool {
         let index = if let Some(i) = self.entries.iter().position(|(r, _)| *r == row) {
             self.entries[i].1 += 1;
@@ -176,14 +175,6 @@ impl Graphene {
 impl Mitigation for Graphene {
     fn name(&self) -> &str {
         "Graphene"
-    }
-
-    fn on_activate(&mut self, bank: BankId, row: RowAddr, actions: &mut Vec<MitigationAction>) {
-        let threshold = self.config.trigger_threshold;
-        let capacity = self.config.entries;
-        if self.banks[bank.index()].observe(row, threshold, capacity) {
-            actions.push(MitigationAction::ActivateNeighbors { bank, row });
-        }
     }
 
     #[allow(
@@ -306,7 +297,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_kernel_matches_scalar_path() {
+    fn batched_kernel_matches_one_event_batches() {
         use mem_trace::TraceEvent;
         use tivapromi::ActionSink;
         let cfg = GrapheneConfig {

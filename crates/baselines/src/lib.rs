@@ -2,7 +2,7 @@
 //!
 //! The five comparison techniques evaluated against TiVaPRoMi in the
 //! paper (§II, §IV), re-implemented from their original publications and
-//! driven through the same [`Mitigation`] trait:
+//! driven through the same [`Mitigation`](tivapromi::Mitigation) trait:
 //!
 //! | Technique | Source | Class | Extra-refresh style |
 //! |---|---|---|---|
@@ -51,34 +51,11 @@ pub use para::Para;
 pub use prohit::ProHit;
 pub use twice::TwiCe;
 
-use dram_sim::Geometry;
-use tivapromi::Mitigation;
-
-/// Builds the five baselines of Fig. 4 / Table III with their paper
-/// configurations, in the paper's ordering.
-pub fn paper_baselines(geometry: &Geometry, seed: u64) -> Vec<Box<dyn Mitigation>> {
-    vec![
-        Box::new(ProHit::paper(geometry, seed ^ 0x1)),
-        Box::new(MrLoc::paper(geometry, seed ^ 0x2)),
-        Box::new(Para::paper(geometry, seed ^ 0x3)),
-        Box::new(TwiCe::paper(geometry)),
-        Box::new(Cra::paper(geometry)),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_baselines_have_expected_names() {
-        let g = Geometry::scaled_down(64);
-        let names: Vec<String> = paper_baselines(&g, 1)
-            .iter()
-            .map(|m| m.name().to_string())
-            .collect();
-        assert_eq!(names, vec!["ProHit", "MRLoc", "PARA", "TWiCe", "CRA"]);
-    }
+    use dram_sim::Geometry;
+    use tivapromi::Mitigation;
 
     #[test]
     fn storage_ordering_matches_figure_4() {

@@ -10,13 +10,12 @@
 //!
 //! The decision discipline is *one stream word per event*: the word's
 //! high bits drive the Bernoulli gate and its low bit picks the
-//! neighbor ([`tivapromi::draw`]), so the lane kernel can prefetch a
-//! whole run's words in one block refill while the scalar path consumes
-//! the identical sequence word by word.
+//! neighbor ([`tivapromi::draw`]), so the lane kernel prefetches a
+//! whole run's words in one block refill, and a run's decisions do not
+//! depend on how it is cut into batches.
 
-use dram_sim::{BankId, Geometry, RowAddr};
+use dram_sim::{Geometry, RowAddr};
 use mem_trace::EventBatch;
-use rand::RngCore;
 use std::ops::Range;
 use tivapromi::{draw, ActionSink, BankRngs, Mitigation, MitigationAction};
 
@@ -89,14 +88,6 @@ impl Mitigation for Para {
         "PARA"
     }
 
-    fn on_activate(&mut self, bank: BankId, row: RowAddr, actions: &mut Vec<MitigationAction>) {
-        let word = self.rngs.get(bank).next_u64();
-        if draw::gate(word, self.probability) {
-            let victim = neighbor_victim(row, word, self.rows_per_bank);
-            actions.push(MitigationAction::RefreshRow { bank, row: victim });
-        }
-    }
-
     #[allow(
         clippy::cast_possible_truncation,
         reason = "event tags: segment indices are bounded by the batch length, far below u32::MAX"
@@ -106,8 +97,8 @@ impl Mitigation for Para {
         // run (one word per event), the gate is a single integer compare
         // against the hoisted threshold (exactly the float gate — see
         // `draw::threshold`), and the row column is read directly.
-        // Word k decides event k of the run — the exact stream positions
-        // the scalar path consumes — so batched ≡ scalar bit for bit.
+        // Word k decides event k of the run, so the bank's stream
+        // positions do not depend on where batches are cut.
         let threshold = draw::threshold(self.probability);
         let rows_per_bank = self.rows_per_bank;
         let (_, rows, _) = batch.columns();
@@ -132,6 +123,7 @@ impl Mitigation for Para {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dram_sim::BankId;
 
     #[test]
     fn trigger_rate_matches_probability() {
@@ -179,7 +171,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_kernel_matches_scalar_path() {
+    fn batched_kernel_matches_one_event_batches() {
         use mem_trace::TraceEvent;
         // Mixed-bank traffic, including single-event runs.
         let mut events = Vec::new();

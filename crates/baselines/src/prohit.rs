@@ -13,7 +13,6 @@
 
 use dram_sim::{BankId, Geometry, RowAddr};
 use mem_trace::EventBatch;
-use rand::RngExt;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use tivapromi::{draw, ActionSink, BankRngs, Mitigation, MitigationAction};
@@ -162,44 +161,22 @@ impl Mitigation for ProHit {
         "ProHit"
     }
 
-    fn on_activate(&mut self, bank: BankId, row: RowAddr, _actions: &mut Vec<MitigationAction>) {
-        if !self
-            .rngs
-            .get(bank)
-            .random_bool(self.config.select_probability)
-        {
-            return;
-        }
-        self.banks[bank.index()].process_event(row, &self.config);
-    }
-
     fn on_batch(&mut self, batch: &EventBatch, range: Range<usize>, _sink: &mut ActionSink) {
         // Lane kernel: per bank run, the selection draws are prefetched
-        // in one block refill — one word per event, mirroring
-        // `random_bool`'s consumption exactly.  At the clamped
-        // probabilities the shim draws nothing, so neither do we.
-        let p = self.config.select_probability;
+        // in one block refill, one word per event, and gated against
+        // the hoisted threshold (exactly the float gate at every `p`,
+        // the clamped ends included — see `draw::threshold`).
+        let threshold = draw::threshold(self.config.select_probability);
         let (_, rows, _) = batch.columns();
-        if p > 0.0 && p < 1.0 {
-            let threshold = draw::threshold(p);
-            for (bank, run) in batch.bank_runs(range) {
-                let words = self.rngs.draw_block(bank, run.len());
-                let tables = &mut self.banks[bank.index()];
-                for (&word, i) in words.iter().zip(run) {
-                    if draw::gate_at(word, threshold) {
-                        tables.process_event(rows[i], &self.config);
-                    }
-                }
-            }
-        } else if p >= 1.0 {
-            for (bank, run) in batch.bank_runs(range) {
-                let tables = &mut self.banks[bank.index()];
-                for i in run {
+        for (bank, run) in batch.bank_runs(range) {
+            let words = self.rngs.draw_block(bank, run.len());
+            let tables = &mut self.banks[bank.index()];
+            for (&word, i) in words.iter().zip(run) {
+                if draw::gate_at(word, threshold) {
                     tables.process_event(rows[i], &self.config);
                 }
             }
         }
-        // p <= 0.0: nothing is ever selected and no words are consumed.
     }
 
     fn on_refresh_interval(&mut self, actions: &mut Vec<MitigationAction>) {
@@ -306,10 +283,9 @@ mod tests {
     }
 
     #[test]
-    fn batched_kernel_matches_scalar_path() {
+    fn batched_kernel_matches_one_event_batches() {
         use mem_trace::TraceEvent;
-        // Exercise both the prefetched-draw branch and the clamped
-        // p = 1.0 branch.
+        // An interior and a clamped probability.
         for select_probability in [0.3, 1.0] {
             let mut cfg = ProHitConfig::paper(&Geometry::paper().with_banks(3));
             cfg.select_probability = select_probability;

@@ -24,7 +24,7 @@
 //! entry set must be searched associatively (a CAM in hardware — the
 //! source of TWiCe's 740× LUT count in Table III).
 
-use dram_sim::{BankId, Geometry, RowAddr, FLIP_THRESHOLD};
+use dram_sim::{Geometry, RowAddr, FLIP_THRESHOLD};
 use mem_trace::EventBatch;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -75,7 +75,6 @@ struct Entry {
 
 /// One activation against a bank's CAM: increment on hit (returning
 /// whether `act_n` fired, which restarts the entry), allocate on miss.
-/// Shared by the scalar path and the lane kernel.
 fn observe(table: &mut Vec<Entry>, row: RowAddr, config: &TwiCeConfig) -> bool {
     if let Some(entry) = table.iter_mut().find(|e| e.row == row) {
         entry.count += 1;
@@ -179,14 +178,6 @@ impl Mitigation for TwiCe {
         "TWiCe"
     }
 
-    fn on_activate(&mut self, bank: BankId, row: RowAddr, actions: &mut Vec<MitigationAction>) {
-        let table = &mut self.tables[bank.index()];
-        if observe(table, row, &self.config) {
-            actions.push(MitigationAction::ActivateNeighbors { bank, row });
-        }
-        self.peak_entries = self.peak_entries.max(table.len());
-    }
-
     #[allow(
         clippy::cast_possible_truncation,
         reason = "event tags: segment indices are bounded by the batch length, far below u32::MAX"
@@ -232,6 +223,7 @@ impl Mitigation for TwiCe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dram_sim::BankId;
 
     fn twice() -> TwiCe {
         TwiCe::paper(&Geometry::paper().with_banks(1))
@@ -341,7 +333,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_kernel_matches_scalar_path() {
+    fn batched_kernel_matches_one_event_batches() {
         use mem_trace::TraceEvent;
         use tivapromi::ActionSink;
         let cfg = TwiCeConfig {

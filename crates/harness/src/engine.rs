@@ -69,6 +69,14 @@ use dram_sim::{
 use mem_trace::{EventBatch, TraceEvent, TraceSource, TraceSplit};
 use tivapromi::{ActionSink, Mitigation, MitigationAction};
 
+/// Actions each per-run buffer holds before it first grows: the sink of
+/// a segment's per-event actions and the buffer of interval-end
+/// actions.  CaPRoMi's interval-end backlog, the largest of the latter,
+/// is at most `counter_entries × banks` (256 at the paper's 64 entries
+/// and 4 banks), so the steady-state windows of `tests/alloc_free.rs`
+/// grow neither buffer.
+const ACTION_BUFFER_CAPACITY: usize = 1024;
+
 /// Tracks which rows the attacker has hammered, for ground-truth
 /// false-positive attribution: one bit per (bank, row) of the geometry,
 /// sized once at run start.  The ledger is only ever membership-tested,
@@ -280,13 +288,11 @@ where
     O: Observer + ?Sized,
 {
     let mut batch = EventBatch::with_target_events(config.batch_events);
-    // Generously preallocated arena: steady-state segments reuse the
-    // same tag/action lanes with `reset`, so the loop's decision side
-    // stays heap-quiet (`tests/alloc_free.rs`).
-    let mut sink = ActionSink::with_capacity(1024);
-    // Per-run buffer made once before the interval loop; every segment
-    // drains it in place.
-    let mut actions: Vec<MitigationAction> = Vec::new();
+    // Both action buffers are made once per run and reused: the sink is
+    // rewound with `reset` per segment, and every interval end drains
+    // `actions` in place.
+    let mut sink = ActionSink::with_capacity(ACTION_BUFFER_CAPACITY);
+    let mut actions: Vec<MitigationAction> = Vec::with_capacity(ACTION_BUFFER_CAPACITY);
     let mut ledger = AggressorLedger::new(&config.geometry);
     let mut triggers = TriggerLedger::new(config.geometry.banks());
     let mut total_acts = 0u64;
@@ -396,9 +402,12 @@ where
 /// The scalar reference loop: one event at a time, exactly the pre-batch
 /// engine.
 ///
-/// Kept public because the equivalence tests prove the batched loop
-/// bit-identical against it at several batch sizes; not otherwise
-/// called by the harness.  Dispatches on `config.backend` exactly like
+/// Each event is decided by [`Mitigation::on_activate`]: a one-event
+/// [`Mitigation::on_batch`] call, or the eager paper form of MRLoc and
+/// the TiVaPRoMi variants, whose kernels skip table reads.  Kept public
+/// because the equivalence tests prove the batched loop bit-identical
+/// against it at several batch sizes; not otherwise called by the
+/// harness.  Dispatches on `config.backend` exactly like
 /// [`run_observed`], so the scalar reference pins every tier, not just
 /// the exact one.
 pub fn run_scalar<S: TraceSource, M: Mitigation + ?Sized>(
@@ -618,6 +627,7 @@ where
 mod tests {
     use super::*;
     use crate::config::ExperimentScale;
+    use crate::experiments::reliability::Unprotected;
     use crate::observe::TimeSeriesRecorder;
     use crate::{scenario, techniques};
     use mem_trace::{AttackConfig, Attacker, ReplayTrace};
@@ -627,25 +637,12 @@ mod tests {
         RunConfig::paper(&ExperimentScale::quick())
     }
 
-    #[derive(Debug)]
-    struct Null;
-    impl Mitigation for Null {
-        fn name(&self) -> &str {
-            "none"
-        }
-        fn on_activate(&mut self, _: BankId, _: RowAddr, _: &mut Vec<MitigationAction>) {}
-        fn on_refresh_interval(&mut self, _: &mut Vec<MitigationAction>) {}
-        fn storage_bits_per_bank(&self) -> u64 {
-            0
-        }
-    }
-
     #[test]
     fn unprotected_attack_flips_bits() {
-        // A null mitigation: the attack must succeed.
+        // No mitigation: the attack must succeed.
         let config = quick_config();
         let attack = Attacker::new(AttackConfig::flooding(RowAddr(30_000), config.intervals()));
-        let metrics = run_observed(attack, &mut Null, &config, &mut NullObserver);
+        let metrics = run_observed(attack, &mut Unprotected, &config, &mut NullObserver);
         assert!(metrics.flips > 0, "{metrics:?}");
         assert_eq!(metrics.mitigation_activations, 0);
         assert_eq!(metrics.first_trigger_act, None);
@@ -689,7 +686,7 @@ mod tests {
         let config = quick_config();
         // An endless trace is clipped at config.intervals().
         let long = ReplayTrace::new(vec![vec![]; 10 * config.intervals() as usize]);
-        let metrics = run_observed(long, &mut Null, &config, &mut NullObserver);
+        let metrics = run_observed(long, &mut Unprotected, &config, &mut NullObserver);
         assert_eq!(metrics.intervals, config.intervals());
     }
 

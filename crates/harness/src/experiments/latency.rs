@@ -18,9 +18,9 @@ use crate::table::TextTable;
 use crate::{parallel, scenario, techniques};
 use dram_sim::controller::{ControllerConfig, MemoryController, MitigationPriority, Request};
 use dram_sim::RowAddr;
-use mem_trace::{TraceEvent, TraceSource};
+use mem_trace::{EventBatch, TraceSource};
 use rh_hwmodel::Technique;
-use tivapromi::{Mitigation, MitigationAction};
+use tivapromi::{ActionSink, Mitigation, MitigationAction};
 
 /// Latency result for one configuration.
 #[derive(Debug, Clone)]
@@ -39,24 +39,18 @@ pub struct LatencyResult {
     pub mitigation_stall_cycles: u64,
 }
 
-fn route_actions(
-    actions: &mut Vec<MitigationAction>,
-    mc: &mut MemoryController,
-    rows_per_bank: u32,
-) {
-    for action in actions.drain(..) {
-        match action {
-            MitigationAction::ActivateNeighbors { bank, row } => {
-                if row.0 > 0 {
-                    mc.enqueue_mitigation(bank, RowAddr(row.0 - 1));
-                }
-                if row.0 + 1 < rows_per_bank {
-                    mc.enqueue_mitigation(bank, RowAddr(row.0 + 1));
-                }
+fn route_action(action: MitigationAction, mc: &mut MemoryController, rows_per_bank: u32) {
+    match action {
+        MitigationAction::ActivateNeighbors { bank, row } => {
+            if row.0 > 0 {
+                mc.enqueue_mitigation(bank, RowAddr(row.0 - 1));
             }
-            MitigationAction::RefreshRow { bank, row } => {
-                mc.enqueue_mitigation(bank, row);
+            if row.0 + 1 < rows_per_bank {
+                mc.enqueue_mitigation(bank, RowAddr(row.0 + 1));
             }
+        }
+        MitigationAction::RefreshRow { bank, row } => {
+            mc.enqueue_mitigation(bank, row);
         }
     }
 }
@@ -76,32 +70,41 @@ pub fn simulate(
     let rows = config.geometry.rows_per_bank();
     let t_refi = controller_config.t_refi;
 
-    let mut events: Vec<TraceEvent> = Vec::new();
+    let mut batch = EventBatch::new();
+    let mut sink = ActionSink::new();
     let mut actions: Vec<MitigationAction> = Vec::new();
     let mut base_cycle = 0u64;
     for _ in 0..intervals {
-        events.clear();
-        if !trace.next_interval(&mut events) {
+        if !trace.next_batch(&mut batch, 1) {
             break;
         }
+        // The mitigation decides the whole interval in one call; each
+        // event's actions are queued right after its demand request.
+        let range = batch.segment(0);
+        sink.reset();
+        if let Some(m) = mitigation.as_deref_mut() {
+            m.on_batch(&batch, range.clone(), &mut sink);
+        }
         // Spread the interval's demand arrivals uniformly over tREFI.
-        let spacing = t_refi / (events.len() as u64 + 1).max(1);
-        for (k, event) in events.iter().enumerate() {
+        let spacing = t_refi / (range.len() as u64 + 1).max(1);
+        for k in range {
             let arrival = base_cycle + spacing * (k as u64 + 1);
             mc.enqueue_demand(Request {
-                bank: event.bank,
-                row: event.row,
+                bank: batch.bank(k),
+                row: batch.row(k),
                 arrival_cycle: arrival,
             });
-            if let Some(m) = mitigation.as_deref_mut() {
-                m.on_activate(event.bank, event.row, &mut actions);
-                route_actions(&mut actions, &mut mc, rows);
+            let tag = u32::try_from(k).expect("event index fits u32");
+            while let Some(action) = sink.next_for(tag) {
+                route_action(action, &mut mc, rows);
             }
         }
         mc.run_until(base_cycle + t_refi);
         if let Some(m) = mitigation.as_deref_mut() {
             m.on_refresh_interval(&mut actions);
-            route_actions(&mut actions, &mut mc, rows);
+            for action in actions.drain(..) {
+                route_action(action, &mut mc, rows);
+            }
         }
         base_cycle += t_refi;
     }

@@ -8,9 +8,10 @@ use crate::config::{ExperimentScale, RunConfig};
 use crate::metrics::RunMetrics;
 use crate::table::TextTable;
 use crate::{engine, parallel, scenario, techniques};
-use dram_sim::{BankId, RowAddr};
+use mem_trace::EventBatch;
 use rh_hwmodel::Technique;
-use tivapromi::{Mitigation, MitigationAction};
+use std::ops::Range;
+use tivapromi::{ActionSink, Mitigation, MitigationAction};
 
 /// A do-nothing mitigation, used to show the attack is real.
 #[derive(Debug, Default)]
@@ -20,7 +21,7 @@ impl Mitigation for Unprotected {
     fn name(&self) -> &str {
         "unprotected"
     }
-    fn on_activate(&mut self, _: BankId, _: RowAddr, _: &mut Vec<MitigationAction>) {}
+    fn on_batch(&mut self, _: &EventBatch, _: Range<usize>, _: &mut ActionSink) {}
     fn on_refresh_interval(&mut self, _: &mut Vec<MitigationAction>) {}
     fn storage_bits_per_bank(&self) -> u64 {
         0

@@ -133,8 +133,7 @@ impl Mitigation for CaPromi {
 
     fn on_batch(&mut self, batch: &EventBatch, range: Range<usize>, _sink: &mut ActionSink) {
         // CaPRoMi's act path only counts — decisions happen at the
-        // interval end — so the batched loop skips the action-tagging
-        // bookkeeping of the default fan-out entirely.  Per bank run,
+        // interval end — so the kernel pushes no actions.  Per bank run,
         // the history/counter/rng lookups are hoisted once and the
         // kernel walks the row column directly; the history is searched
         // only for a row without a counter entry (module docs).

@@ -1,13 +1,14 @@
-//! One-word probabilistic decision helpers shared by the scalar and
-//! lane-kernel decision paths.
+//! One-word probabilistic decision helpers of the lane kernels.
 //!
 //! The lane kernels prefetch whole runs of raw `u64` stream words
 //! ([`crate::BankRngs::draw_block`]) and decide each event from its one
-//! word; the scalar [`crate::Mitigation::on_activate`] paths pull the
-//! same word per event directly from the stream and feed it to the same
-//! helpers.  Both paths therefore consume per-bank streams identically
-//! — one word per event — which is what keeps batched runs bit-identical
-//! to the pinned scalar reference (DESIGN.md §15).
+//! word, so a bank's stream advances one word per event however its
+//! activations are cut into batches.  The eager paper forms that the
+//! time-varying variants keep as their kernel's oracle
+//! ([`crate::Mitigation::on_activate`]) pull the same word per event
+//! straight from the stream and feed it to the same helpers.  That is
+//! what keeps batched runs bit-identical to the pinned scalar reference
+//! (DESIGN.md §15).
 //!
 //! The gate reproduces the `rand` shim's Bernoulli sampling exactly: the
 //! word's 53 high bits become the uniform sample in `[0, 1)`, compared

@@ -6,7 +6,7 @@
 //! to issue extra restorative activations.
 
 use dram_sim::{BankId, RowAddr};
-use mem_trace::EventBatch;
+use mem_trace::{EventBatch, TraceEvent};
 use std::ops::Range;
 
 /// An extra command a mitigation asks the memory controller to issue.
@@ -134,15 +134,6 @@ impl ActionSink {
         self.tags.push(tag);
     }
 
-    /// Runs `fill` against a plain action `Vec` and tags everything it
-    /// appended with `tag` — the bridge from the scalar
-    /// [`Mitigation::on_activate`] signature.
-    #[inline]
-    pub fn record<F: FnOnce(&mut Vec<MitigationAction>)>(&mut self, tag: u32, fill: F) {
-        fill(&mut self.actions);
-        self.tags.resize(self.actions.len(), tag);
-    }
-
     /// The tag of the next undrained action, if any — lets a batching
     /// replay jump straight to the next event that has actions instead
     /// of polling every event.
@@ -174,10 +165,13 @@ impl ActionSink {
 
 /// A hardware row-hammer mitigation observing the command stream.
 ///
-/// Implementations append the commands they want issued to `actions`
-/// (an out-buffer so the per-activation hot path performs no allocation).
-/// The driving harness applies each action to the DRAM device and charges
-/// it to the technique's activation overhead.
+/// A technique decides in one place, [`Mitigation::on_batch`]: it walks
+/// one refresh interval's activations and pushes the commands it wants
+/// issued into an [`ActionSink`], each tagged with its causing event.
+/// The driving harness applies each action to the DRAM device right
+/// after that event's activation and charges it to the technique's
+/// activation overhead.  [`Mitigation::on_activate`], the one-event
+/// form, runs the same decision over a one-event batch.
 ///
 /// Implementors must be deterministic given their construction seed: the
 /// experiment harness relies on reproducible runs.
@@ -186,8 +180,10 @@ impl ActionSink {
 /// toy "refresh every 1000th activated row's neighbors" policy:
 ///
 /// ```
+/// use std::ops::Range;
 /// use dram_sim::{BankId, RowAddr};
-/// use tivapromi::{Mitigation, MitigationAction};
+/// use mem_trace::EventBatch;
+/// use tivapromi::{ActionSink, Mitigation, MitigationAction};
 ///
 /// struct EveryNth {
 ///     n: u64,
@@ -198,10 +194,14 @@ impl ActionSink {
 ///     fn name(&self) -> &str {
 ///         "every-nth"
 ///     }
-///     fn on_activate(&mut self, bank: BankId, row: RowAddr, actions: &mut Vec<MitigationAction>) {
-///         self.count += 1;
-///         if self.count % self.n == 0 {
-///             actions.push(MitigationAction::ActivateNeighbors { bank, row });
+///     fn on_batch(&mut self, batch: &EventBatch, range: Range<usize>, sink: &mut ActionSink) {
+///         for i in range {
+///             self.count += 1;
+///             if self.count % self.n == 0 {
+///                 let (bank, row) = (batch.bank(i), batch.row(i));
+///                 let tag = u32::try_from(i).expect("batch index fits u32");
+///                 sink.push(tag, MitigationAction::ActivateNeighbors { bank, row });
+///             }
 ///         }
 ///     }
 ///     fn on_refresh_interval(&mut self, _actions: &mut Vec<MitigationAction>) {}
@@ -221,8 +221,18 @@ pub trait Mitigation: Send {
     /// Human-readable technique name ("PARA", "LoLiPRoMi", …).
     fn name(&self) -> &str;
 
-    /// Called for every workload activation of `row` in `bank`.
-    fn on_activate(&mut self, bank: BankId, row: RowAddr, actions: &mut Vec<MitigationAction>);
+    /// Processes one refresh interval's worth of activations — the
+    /// events of `batch` at `range` — in a single call, pushing every
+    /// resulting action into `sink` tagged with its causing event's
+    /// batch index.
+    ///
+    /// This is the technique's decision.  Implementations may hoist
+    /// per-interval work (the time-varying weight, PARA's probability
+    /// bound) out of the per-event loop, but a run's outcome must not
+    /// depend on how its intervals are cut into calls: the engine's
+    /// determinism contract (sequential ≡ sharded, batched ≡ scalar)
+    /// depends on it.
+    fn on_batch(&mut self, batch: &EventBatch, range: Range<usize>, sink: &mut ActionSink);
 
     /// Called once per refresh interval, *after* the interval's refresh
     /// executed.  Implementations advance their interval clock here;
@@ -233,27 +243,20 @@ pub trait Mitigation: Send {
     /// x-axis of Fig. 4.  Stateless techniques (PARA) return 0.
     fn storage_bits_per_bank(&self) -> u64;
 
-    /// Processes one refresh interval's worth of activations — the
-    /// events of `batch` at `range` — in a single call, pushing every
-    /// resulting action into `sink` tagged with its causing event's
-    /// batch index.
+    /// One activation of `row` in `bank`: runs [`Mitigation::on_batch`]
+    /// over a one-event batch and appends its actions to `actions`.
     ///
-    /// The default fans out to [`Mitigation::on_activate`] per event,
-    /// so every technique batches correctly without changes.
-    /// Overriding implementations may hoist per-interval work (the
-    /// time-varying weight, PARA's probability bound) out of the
-    /// per-event loop, but must preserve the *exact* per-event order of
-    /// state updates and RNG draws: the engine's determinism contract
-    /// (sequential ≡ sharded, batched ≡ scalar) depends on it.
-    #[allow(
-        clippy::cast_possible_truncation,
-        reason = "event tags: segment indices are bounded by the batch length, far below u32::MAX"
-    )]
-    fn on_batch(&mut self, batch: &EventBatch, range: Range<usize>, sink: &mut ActionSink) {
-        for i in range {
-            let (bank, row) = (batch.bank(i), batch.row(i));
-            sink.record(i as u32, |actions| self.on_activate(bank, row, actions));
-        }
+    /// Batched runs never call it; the harness's scalar reference loop,
+    /// tests and hand-driven examples do.  Techniques whose kernel skips
+    /// table reads (MRLoc and the TiVaPRoMi variants) override it with
+    /// their eager paper form, the oracle the equivalence tests hold
+    /// those kernels to.
+    fn on_activate(&mut self, bank: BankId, row: RowAddr, actions: &mut Vec<MitigationAction>) {
+        let mut batch = EventBatch::new();
+        batch.push_interval(&[TraceEvent::benign(bank, row)]);
+        let mut sink = ActionSink::new();
+        self.on_batch(&batch, batch.segment(0), &mut sink);
+        actions.append(&mut sink.actions);
     }
 
     /// Storage per bank in bytes (derived; Fig. 4 is plotted in bytes).
@@ -308,8 +311,9 @@ pub struct WideNeighborhood<M> {
     inner: M,
     rows_per_bank: u32,
     name: String,
-    /// Rewrite staging reused across calls so widening allocates only
-    /// until its high-water mark is established.
+    /// The inner kernel's actions, reused across segments.
+    sink: ActionSink,
+    /// The inner interval-end actions, reused across intervals.
     scratch: Vec<MitigationAction>,
 }
 
@@ -321,7 +325,8 @@ impl<M: Mitigation> WideNeighborhood<M> {
             inner,
             rows_per_bank,
             name,
-            scratch: Vec::with_capacity(8),
+            sink: ActionSink::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -334,30 +339,28 @@ impl<M: Mitigation> WideNeighborhood<M> {
     pub fn into_inner(self) -> M {
         self.inner
     }
+}
 
-    fn widen(&mut self, actions: &mut Vec<MitigationAction>, start: usize) {
-        let widened = &mut self.scratch;
-        widened.clear();
-        for action in actions.drain(start..) {
-            match action {
-                MitigationAction::ActivateNeighbors { bank, row } => {
-                    for offset in [-2i64, -1, 1, 2] {
-                        let target = i64::from(row.0) + offset;
-                        // try_from rejects negatives and overflow in one go.
-                        if let Ok(target) = u32::try_from(target) {
-                            if target < self.rows_per_bank {
-                                widened.push(MitigationAction::RefreshRow {
-                                    bank,
-                                    row: RowAddr(target),
-                                });
-                            }
-                        }
+/// Passes `action` to `push`, with an `act_n` rewritten into refreshes
+/// of the rows within distance two of its aggressor that lie inside the
+/// bank.
+fn widen(action: MitigationAction, rows_per_bank: u32, mut push: impl FnMut(MitigationAction)) {
+    match action {
+        MitigationAction::ActivateNeighbors { bank, row } => {
+            for offset in [-2i64, -1, 1, 2] {
+                let target = i64::from(row.0) + offset;
+                // try_from rejects negatives and overflow in one go.
+                if let Ok(target) = u32::try_from(target) {
+                    if target < rows_per_bank {
+                        push(MitigationAction::RefreshRow {
+                            bank,
+                            row: RowAddr(target),
+                        });
                     }
                 }
-                other => widened.push(other),
             }
         }
-        actions.append(widened);
+        other => push(other),
     }
 }
 
@@ -366,16 +369,23 @@ impl<M: Mitigation> Mitigation for WideNeighborhood<M> {
         &self.name
     }
 
-    fn on_activate(&mut self, bank: BankId, row: RowAddr, actions: &mut Vec<MitigationAction>) {
-        let start = actions.len();
-        self.inner.on_activate(bank, row, actions);
-        self.widen(actions, start);
+    fn on_batch(&mut self, batch: &EventBatch, range: Range<usize>, sink: &mut ActionSink) {
+        // The inner kernel decides the segment into the adapter's own
+        // sink; each of its actions is widened under its event's tag.
+        let decided = &mut self.sink;
+        decided.reset();
+        self.inner.on_batch(batch, range, decided);
+        for (&tag, &action) in decided.tags.iter().zip(&decided.actions) {
+            widen(action, self.rows_per_bank, |wide| sink.push(tag, wide));
+        }
     }
 
     fn on_refresh_interval(&mut self, actions: &mut Vec<MitigationAction>) {
-        let start = actions.len();
-        self.inner.on_refresh_interval(actions);
-        self.widen(actions, start);
+        self.scratch.clear();
+        self.inner.on_refresh_interval(&mut self.scratch);
+        for &action in &self.scratch {
+            widen(action, self.rows_per_bank, |wide| actions.push(wide));
+        }
     }
 
     fn storage_bits_per_bank(&self) -> u64 {
@@ -411,13 +421,18 @@ mod tests {
         ));
     }
 
+    /// Fires `act_n` on every activation.
     struct Fixed;
     impl Mitigation for Fixed {
         fn name(&self) -> &str {
             "fixed"
         }
-        fn on_activate(&mut self, bank: BankId, row: RowAddr, actions: &mut Vec<MitigationAction>) {
-            actions.push(MitigationAction::ActivateNeighbors { bank, row });
+        fn on_batch(&mut self, batch: &EventBatch, range: Range<usize>, sink: &mut ActionSink) {
+            for i in range {
+                let (bank, row) = (batch.bank(i), batch.row(i));
+                let tag = u32::try_from(i).expect("batch index fits u32");
+                sink.push(tag, MitigationAction::ActivateNeighbors { bank, row });
+            }
         }
         fn on_refresh_interval(&mut self, _: &mut Vec<MitigationAction>) {}
         fn storage_bits_per_bank(&self) -> u64 {
@@ -433,10 +448,8 @@ mod tests {
             row: RowAddr(row),
         };
         sink.push(0, act(10));
-        sink.record(2, |actions| {
-            actions.push(act(20));
-            actions.push(act(21));
-        });
+        sink.push(2, act(20));
+        sink.push(2, act(21));
         assert_eq!(sink.len(), 3);
         // Replay walk: event 0 yields one action, event 1 none, event 2
         // both of its actions, in push order.
@@ -449,35 +462,6 @@ mod tests {
         assert!(sink.fully_drained());
         sink.reset();
         assert!(sink.is_empty());
-    }
-
-    #[test]
-    fn default_on_batch_matches_per_event_calls() {
-        use mem_trace::TraceEvent;
-        let events = vec![
-            TraceEvent::benign(BankId(0), RowAddr(3)),
-            TraceEvent::benign(BankId(1), RowAddr(4)),
-        ];
-        let mut batch = EventBatch::new();
-        batch.push_interval(&events);
-
-        let mut batched = Fixed;
-        let mut sink = ActionSink::new();
-        batched.on_batch(&batch, batch.segment(0), &mut sink);
-
-        let mut scalar = Fixed;
-        let mut expected = Vec::new();
-        for e in &events {
-            scalar.on_activate(e.bank, e.row, &mut expected);
-        }
-        let mut drained = Vec::new();
-        for tag in 0..events.len() as u32 {
-            while let Some(a) = sink.next_for(tag) {
-                drained.push(a);
-            }
-        }
-        assert_eq!(drained, expected);
-        assert!(sink.fully_drained());
     }
 
     #[test]

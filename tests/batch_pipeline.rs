@@ -28,17 +28,22 @@
 //! run cannot flip a row (`DisturbanceBackend::flip_headroom`).  A
 //! flooding case at consecutive small thresholds puts runs exactly on
 //! that bound, one past it, and across it with a flip inside.
+//!
+//! The distance-2 adapter (`WideNeighborhood`) re-tags each widened
+//! action with its causing event; a flooding case at both bank edges
+//! holds it to the scalar reference around three inner techniques.
 
 use dram_sim::{BackendSpec, BankId, Geometry, RowAddr};
 use proptest::prelude::*;
 use tivapromi_suite::baselines::mrloc::{MrLoc, MrLocConfig};
+use tivapromi_suite::baselines::twice::{TwiCe, TwiCeConfig};
 use tivapromi_suite::harness::experiments::reliability::Unprotected;
 use tivapromi_suite::harness::{
     engine, scenario, techniques, ExperimentScale, NullObserver, RunConfig, RunMetrics,
 };
 use tivapromi_suite::hwmodel::Technique;
 use tivapromi_suite::tivapromi::{
-    CaPromi, HistoryPolicy, Mitigation, TimeVarying, TivaConfig, WeightMode,
+    CaPromi, HistoryPolicy, Mitigation, TimeVarying, TivaConfig, WeightMode, WideNeighborhood,
 };
 use tivapromi_suite::trace::{
     AttackConfig, AttackKind, Attacker, MixedTrace, ReplayTrace, SpecLikeWorkload, TraceEvent,
@@ -207,6 +212,40 @@ fn batched_run_matches_scalar_across_the_flip_headroom() {
                 para.trigger_events > 0 && para.flips > 0,
                 "{what}: {para:?}"
             );
+        }
+    }
+}
+
+/// The distance-2 adapter decides through its inner kernel and pushes
+/// each widened action again under its causing event's tag, so its
+/// batched runs must equal the one-event-at-a-time reference.  Flooding
+/// row 1 and the second-to-last row under distance-2 coupling puts its
+/// widened refreshes against both bank edges; each inner technique is
+/// tuned to trigger on the flood.
+#[test]
+fn wide_neighborhood_matches_scalar_at_the_bank_edges() {
+    let mut base = config();
+    base.distance2_sixteenths = 4;
+    let rows = base.geometry.rows_per_bank();
+    let tiva = TivaConfig::paper(&base.geometry).with_p_base_exponent(8);
+    let twice = TwiCeConfig {
+        trigger_threshold: 1000,
+        pruning_rate: 1,
+        ..TwiCeConfig::paper(&base.geometry)
+    };
+    type Build<'a> = &'a dyn Fn() -> Box<dyn Mitigation>;
+    let inners: [(&str, Build); 3] = [
+        ("LoLiPRoMi", &|| Box::new(TimeVarying::lolipromi(tiva, 31))),
+        ("TWiCe", &|| Box::new(TwiCe::new(twice))),
+        ("PARA", &|| techniques::build(Technique::Para, &base, 31)),
+    ];
+    for row in [1, 500, rows - 2] {
+        let flood = || scenario::flooding(&base, RowAddr(row));
+        for (name, inner) in inners {
+            let what = format!("{name}+d2 flooding row {row}");
+            let scalar =
+                matches_scalar(&what, &base, flood, || WideNeighborhood::new(inner(), rows));
+            assert!(scalar.trigger_events > 0, "{what} never triggered");
         }
     }
 }

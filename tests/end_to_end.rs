@@ -2,31 +2,16 @@
 //! trace → mitigation → DRAM device, exercised through the public APIs
 //! of every crate.
 
-use tivapromi_suite::dram::{BankId, RowAddr};
+use tivapromi_suite::dram::RowAddr;
+use tivapromi_suite::harness::experiments::reliability::Unprotected;
 use tivapromi_suite::harness::{
     engine, scenario, techniques, ExperimentScale, NullObserver, RunConfig,
 };
 use tivapromi_suite::hwmodel::Technique;
-use tivapromi_suite::tivapromi::{Mitigation, MitigationAction};
 use tivapromi_suite::trace::{AttackConfig, Attacker};
 
 fn quick_config() -> RunConfig {
     RunConfig::paper(&ExperimentScale::quick())
-}
-
-/// A do-nothing mitigation for baselines.
-#[derive(Debug, Default)]
-struct Null;
-
-impl Mitigation for Null {
-    fn name(&self) -> &str {
-        "null"
-    }
-    fn on_activate(&mut self, _: BankId, _: RowAddr, _: &mut Vec<MitigationAction>) {}
-    fn on_refresh_interval(&mut self, _: &mut Vec<MitigationAction>) {}
-    fn storage_bits_per_bank(&self) -> u64 {
-        0
-    }
 }
 
 #[test]
@@ -47,7 +32,7 @@ fn the_attack_is_real_without_mitigation() {
     let config = quick_config();
     let metrics = engine::run_observed(
         scenario::paper_mix(&config, 11),
-        &mut Null,
+        &mut Unprotected,
         &config,
         &mut NullObserver,
     );
