@@ -17,7 +17,7 @@
 //! |------|------|------------|
 //! | `exact` | [`DramDevice`] | bit-identical to the historical engine; the default |
 //! | `fast`  | [`crate::FastBackend`] | per-interval accumulation; command-stream metrics exact, physics within declared tolerances |
-//! | `cycle` | [`crate::CycleBackend`] | exact model **plus** row-buffer state and per-command cycle costs ([`CycleStats`]) |
+//! | `cycle` | [`crate::CycleBackend`] | exact model **plus** row-buffer state and a per-bank clock: per-command cycle costs ([`CycleStats`]) and demand latency ([`crate::LatencyStats`]) |
 //!
 //! Selection is by [`BackendSpec`], a serde-able enum with
 //! `Display`/`FromStr` so configs and CLIs (`--backend exact|fast|cycle`)
@@ -161,7 +161,7 @@ pub enum BackendSpec {
     /// Batch-level accumulation ([`crate::FastBackend`]) for
     /// fleet-scale sweeps.
     Fast,
-    /// Row-buffer + command-timing model ([`crate::CycleBackend`]).
+    /// Row-buffer + bank-clock timing model ([`crate::CycleBackend`]).
     Cycle,
 }
 

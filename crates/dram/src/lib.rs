@@ -29,8 +29,8 @@
 //! * [`DisturbanceBackend`] — pluggable fidelity tiers over the same
 //!   command stream: the exact device (default), a batch-accumulating
 //!   [`FastBackend`] for fleet-scale sweeps, and a [`CycleBackend`]
-//!   adding row-buffer state and per-command cycle costs; selected by
-//!   [`BackendSpec`].
+//!   adding row-buffer state and a per-bank clock that prices and times
+//!   every command; selected by [`BackendSpec`].
 //! * [`WeakCellSpec`] / [`WeakCellMap`] — heterogeneous per-row flip
 //!   thresholds and weak-cell columns, sampled from a seeded
 //!   distribution so every shard sees the identical device.
@@ -58,7 +58,6 @@
 pub mod addr;
 pub mod backend;
 pub mod command;
-pub mod controller;
 pub mod cycle;
 pub mod device;
 pub mod disturb;
@@ -74,7 +73,7 @@ pub mod weakmap;
 pub use addr::{BankId, RowAddr};
 pub use backend::{BackendSpec, CycleStats, DisturbanceBackend};
 pub use command::Command;
-pub use cycle::CycleBackend;
+pub use cycle::{CycleBackend, LatencyStats, MitigationPriority};
 pub use device::{DeviceStats, DramDevice, FlipEvent};
 pub use disturb::{DisturbState, DISTURB_SCALE};
 pub use error::ConfigError;

@@ -150,6 +150,17 @@ impl DramTiming {
             ref_cycles: (self.refresh_time_ns * self.frequency_ghz).floor() as u32,
         }
     }
+
+    /// The refresh interval (tREFI) in cycles of this timing's clock,
+    /// floored like [`DramTiming::cycle_budget`] — the period of the
+    /// cycle tier's interval clock.
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "a refresh interval is a few thousand cycles for any real clock"
+    )]
+    pub fn refresh_interval_cycles(&self) -> u64 {
+        (self.refresh_interval_us * 1000.0 * self.frequency_ghz).floor() as u64
+    }
 }
 
 impl Default for DramTiming {
@@ -172,6 +183,8 @@ mod tests {
         let b = DramTiming::ddr4().cycle_budget();
         assert_eq!(b.act_cycles, 54);
         assert_eq!(b.ref_cycles, 420);
+        // tREFI: 7.8 µs at 1.2 GHz.
+        assert_eq!(DramTiming::ddr4().refresh_interval_cycles(), 9360);
     }
 
     #[test]

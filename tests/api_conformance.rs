@@ -18,7 +18,7 @@ fn core_types_are_send_sync() {
     assert_send_sync::<dram::DramTiming>();
     assert_send_sync::<dram::RefreshOrder>();
     assert_send_sync::<dram::DisturbState>();
-    assert_send_sync::<dram::controller::LatencyStats>();
+    assert_send_sync::<dram::LatencyStats>();
     assert_send_sync::<trace::TraceEvent>();
     assert_send_sync::<trace::TraceStats>();
     assert_send_sync::<tiva::TivaConfig>();
@@ -35,7 +35,7 @@ fn stateful_components_are_send() {
     assert_send::<tiva::TimeVarying>();
     assert_send::<tiva::CaPromi>();
     assert_send::<dram::DramDevice>();
-    assert_send::<dram::controller::MemoryController>();
+    assert_send::<dram::CycleBackend>();
     assert_sync::<dram::Geometry>();
 }
 
