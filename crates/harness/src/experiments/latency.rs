@@ -8,6 +8,11 @@
 //! each technique attached, and reports the mean demand latency against
 //! an unprotected baseline.
 //!
+//! Every scale runs the same trace: the paper mix's first 2 048
+//! intervals at seed 1, each configuration once.  Only the bank count
+//! follows the scale (one bank at `quick`, four at `paper` and `full`);
+//! its windows and seeds do not, so `full` prints what `paper` prints.
+//!
 //! Measurement: the slowdown follows the activation count — fractions
 //! of a percent for TiVaPRoMi, tens of percent for ProHit — because the
 //! tier delivers a bank's demands back to back, so an activation that

@@ -106,7 +106,7 @@ pub const ALL: &[Experiment] = &[
     },
     Experiment {
         name: "latency",
-        description: "extension: demand latency through the controller",
+        description: "extension: demand latency on the cycle tier's bank clocks",
         report: latency::report,
     },
     Experiment {

@@ -7,6 +7,7 @@
 
 use dram_sim::{BankId, RowAddr};
 use mem_trace::{EventBatch, TraceEvent};
+use std::cell::Cell;
 use std::ops::Range;
 
 /// An extra command a mitigation asks the memory controller to issue.
@@ -246,17 +247,27 @@ pub trait Mitigation: Send {
     /// One activation of `row` in `bank`: runs [`Mitigation::on_batch`]
     /// over a one-event batch and appends its actions to `actions`.
     ///
+    /// The batch and sink are reused per thread, so once warm a call
+    /// allocates nothing.
+    ///
     /// Batched runs never call it; the harness's scalar reference loop,
     /// tests and hand-driven examples do.  Techniques whose kernel skips
     /// table reads (MRLoc and the TiVaPRoMi variants) override it with
     /// their eager paper form, the oracle the equivalence tests hold
     /// those kernels to.
     fn on_activate(&mut self, bank: BankId, row: RowAddr, actions: &mut Vec<MitigationAction>) {
-        let mut batch = EventBatch::new();
+        thread_local! {
+            static SCRATCH: Cell<Option<(EventBatch, ActionSink)>> = const { Cell::new(None) };
+        }
+        // Taken, not borrowed: a decision that itself calls
+        // `on_activate` finds the slot empty and builds its own.
+        let (mut batch, mut sink) = SCRATCH.take().unwrap_or_default();
+        batch.clear();
         batch.push_interval(&[TraceEvent::benign(bank, row)]);
-        let mut sink = ActionSink::new();
+        sink.reset();
         self.on_batch(&batch, batch.segment(0), &mut sink);
         actions.append(&mut sink.actions);
+        SCRATCH.set(Some((batch, sink)));
     }
 
     /// Storage per bank in bytes (derived; Fig. 4 is plotted in bytes).

@@ -11,12 +11,15 @@
 //! [`DEFAULT_BATCH_EVENTS`]); the target is soft — intervals are never
 //! split across batches, so a single heavy interval may overshoot it.
 //!
-//! Every interval enters as column copies, never event by event:
+//! Intervals enter the columns in one of four ways:
 //! [`EventBatch::push_interval`] copies an interval of [`TraceEvent`]s
-//! one column at a time (the default shim, the mix and a whole
-//! recording deliver this way), a recorded bank lane appends a bank
-//! fill plus its row and aggressor slices, and
-//! [`EventBatch::push_empty_intervals`] ticks idle intervals.
+//! one column at a time (a whole recording, and the default shim, which
+//! stages each interval in one reused list); a recorded bank lane
+//! appends a bank fill plus its row and aggressor slices; the mix
+//! ([`crate::MixedTrace`]) merges its sources' bank lanes straight into
+//! the columns, with no staging list, two lanes of one bank interleaved
+//! under one bank fill; and [`EventBatch::push_empty_intervals`] ticks
+//! idle intervals.
 
 use crate::event::TraceEvent;
 use dram_sim::{BankId, RowAddr};
@@ -188,9 +191,53 @@ impl Iterator for BankRuns<'_> {
 impl EventBatch {
     /// Appends one whole interval's events and closes its boundary.
     pub fn push_interval(&mut self, events: &[TraceEvent]) {
+        self.push_events(events);
+        self.close_interval();
+    }
+
+    /// Appends `events` to the open interval, one column at a time.
+    pub(crate) fn push_events(&mut self, events: &[TraceEvent]) {
         self.banks.extend(events.iter().map(|e| e.bank));
         self.rows.extend(events.iter().map(|e| e.row));
         self.aggressors.extend(events.iter().map(|e| e.aggressor));
+    }
+
+    /// Appends one event to the open interval.
+    pub(crate) fn push_event(&mut self, event: TraceEvent) {
+        self.banks.push(event.bank);
+        self.rows.push(event.row);
+        self.aggressors.push(event.aggressor);
+    }
+
+    /// Appends `a[0], b[0], a[1], b[1], …` to the open interval: two
+    /// equally long lanes of one bank, interleaved straight into the
+    /// columns, the bank's as one fill.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lanes differ in length.
+    pub(crate) fn push_interleaved(&mut self, a: &[TraceEvent], b: &[TraceEvent]) {
+        assert_eq!(a.len(), b.len(), "one event of each lane per round");
+        let Some(first) = a.first() else {
+            return;
+        };
+        debug_assert!(a.iter().chain(b).all(|e| e.bank == first.bank));
+        let start = self.banks.len();
+        let end = start + 2 * a.len();
+        self.banks.resize(end, first.bank);
+        self.rows.resize(end, RowAddr(0));
+        self.aggressors.resize(end, false);
+        let rounds = self.rows[start..]
+            .chunks_exact_mut(2)
+            .zip(self.aggressors[start..].chunks_exact_mut(2));
+        for ((rows, aggressors), (x, y)) in rounds.zip(a.iter().zip(b)) {
+            rows.copy_from_slice(&[x.row, y.row]);
+            aggressors.copy_from_slice(&[x.aggressor, y.aggressor]);
+        }
+    }
+
+    /// Closes the open interval's boundary.
+    pub(crate) fn close_interval(&mut self) {
         self.boundaries.push(self.banks.len());
     }
 

@@ -53,9 +53,8 @@ impl Digest {
     }
 }
 
-/// Digest of a source drained one interval at a time.
-fn digest(mut source: impl TraceSource) -> Digest {
-    let mut d = Digest::new();
+/// Drains a source one interval at a time into `d`.
+fn feed(d: &mut Digest, mut source: impl TraceSource) {
     let mut out = Vec::new();
     while {
         out.clear();
@@ -66,13 +65,11 @@ fn digest(mut source: impl TraceSource) -> Digest {
         }
         d.end_interval();
     }
-    d
 }
 
-/// Digest of a source drained through its batched delivery path, in the
-/// same format as [`digest`], so both paths must agree with one value.
-fn batch_digest(mut source: impl TraceSource) -> Digest {
-    let mut d = Digest::new();
+/// Drains a source through its batched delivery path into `d`, in the
+/// same format as [`feed`], so both paths must agree with one value.
+fn feed_batched(d: &mut Digest, mut source: impl TraceSource) {
     let mut batch = EventBatch::with_target_events(1000);
     while source.next_batch(&mut batch, u64::MAX) {
         for interval in 0..batch.intervals() {
@@ -82,7 +79,53 @@ fn batch_digest(mut source: impl TraceSource) -> Digest {
             d.end_interval();
         }
     }
+}
+
+/// Digest of a source drained one interval at a time.
+fn digest(source: impl TraceSource) -> Digest {
+    let mut d = Digest::new();
+    feed(&mut d, source);
     d
+}
+
+/// Digest of a source drained through its batched delivery path.
+fn batch_digest(source: impl TraceSource) -> Digest {
+    let mut d = Digest::new();
+    feed_batched(&mut d, source);
+    d
+}
+
+/// Digest of bank shards `0..banks` of fresh sources from `make`, drained
+/// one after another by `drain` into one stream.
+fn shards_digest(
+    make: &dyn Fn() -> Box<dyn TraceSplit>,
+    banks: u32,
+    drain: fn(&mut Digest, Box<dyn TraceSplit>),
+) -> Digest {
+    let mut d = Digest::new();
+    for bank in (0..banks).map(BankId) {
+        drain(&mut d, make().bank_shard(bank));
+    }
+    d
+}
+
+/// Holds a source from `make` to `whole` and its bank shards, drained in
+/// bank order, to `shards`, each as `(hash, events, intervals)` and each
+/// through both `next_interval` and `next_batch`.
+fn assert_every_path(
+    name: &str,
+    make: &dyn Fn() -> Box<dyn TraceSplit>,
+    banks: u32,
+    whole: (u64, u64, u64),
+    shards: (u64, u64, u64),
+) {
+    let (hash, events, intervals) = whole;
+    assert_digest(name, digest(make()), hash, events, intervals);
+    assert_digest(name, batch_digest(make()), hash, events, intervals);
+    let (hash, events, intervals) = shards;
+    let shards = |drain| shards_digest(make, banks, drain);
+    assert_digest(name, shards(feed), hash, events, intervals);
+    assert_digest(name, shards(feed_batched), hash, events, intervals);
 }
 
 fn assert_digest(name: &str, got: Digest, hash: u64, events: u64, intervals: u64) {
@@ -140,6 +183,42 @@ fn speclike_wide_hot_set() {
         0xf47bbb3081c35965,
         16790,
         600,
+    );
+}
+
+/// 3 banks of 1 000 rows, a bank size that is not a power of two (every
+/// other golden's is), with a hot set of `hot_rows` on the small-table
+/// Zipf sampler.
+fn odd_bank(hot_rows: usize, locality: f64) -> WorkloadConfig {
+    let mut config =
+        WorkloadConfig::paper(&Geometry::scaled_down(64).with_banks(3)).with_intervals(300);
+    config.rows_per_bank = 1000;
+    config.hot_rows = hot_rows;
+    config.locality = locality;
+    config.phase_intervals = 100;
+    config
+}
+
+#[test]
+fn speclike_odd_bank() {
+    assert_every_path(
+        "speclike/odd",
+        &|| Box::new(SpecLikeWorkload::new(odd_bank(12, 0.9), SEED)),
+        3,
+        (0xc6f3c8213916d25e, 25102, 300),
+        (0x3022b2792e5eb830, 25102, 900),
+    );
+}
+
+#[test]
+fn speclike_always_hot() {
+    // A locality of 1 draws no locality word at all.
+    assert_every_path(
+        "speclike/always-hot",
+        &|| Box::new(SpecLikeWorkload::new(odd_bank(32, 1.0), SEED)),
+        3,
+        (0x87ebd338003a1456, 24949, 300),
+        (0xcd38a498b4ca979e, 24949, 900),
     );
 }
 
@@ -415,5 +494,48 @@ fn mixed_nine_sources() {
         hash,
         events,
         intervals,
+    );
+}
+
+/// The odd-bank workload mixed with a ramp on banks 0 and 2 under a cap
+/// that binds, so bank 1 merges one source and the others two.
+fn odd_mix(hot_rows: usize, locality: f64) -> Box<dyn TraceSplit> {
+    let workload = SpecLikeWorkload::new(odd_bank(hot_rows, locality), SEED);
+    let ramp = Attacker::new(AttackConfig {
+        kind: AttackKind::MultiAggressorRamp {
+            base_row: RowAddr(300),
+            max_aggressors: 20,
+        },
+        target_banks: vec![BankId(0), BankId(2)],
+        acts_per_interval: 30,
+        start_interval: 10,
+        intervals: 280,
+        ramp_hold_intervals: 12,
+    });
+    Box::new(MixedTrace::new(
+        vec![Box::new(workload), Box::new(ramp)],
+        50,
+    ))
+}
+
+#[test]
+fn mixed_odd_bank() {
+    assert_every_path(
+        "mix/odd",
+        &|| odd_mix(12, 0.9),
+        3,
+        (0xbf5f93b4028ea85d, 36928, 300),
+        (0x3023b0a4f98f797b, 36928, 900),
+    );
+}
+
+#[test]
+fn mixed_always_hot() {
+    assert_every_path(
+        "mix/always-hot",
+        &|| odd_mix(32, 1.0),
+        3,
+        (0xa5b75e12e3d4e07f, 36896, 300),
+        (0x1d07dc8f4137b351, 36896, 900),
     );
 }

@@ -14,7 +14,7 @@
 use dram_sim::{BankId, Geometry, RowAddr};
 use mem_trace::{
     AttackConfig, AttackKind, Attacker, EventBatch, MixedTrace, ReplayTrace, SpecLikeWorkload,
-    TraceEvent, TraceSource, TraceSplit, WorkloadConfig,
+    TraceEvent, TraceSource, TraceSplit, WorkloadConfig, DEFAULT_BATCH_EVENTS,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -267,12 +267,16 @@ proptest! {
     /// A mix of recordings whose intervals name banks in any order
     /// delivers exactly the reference mix's events, interval by
     /// interval, through both delivery paths, and drops what it drops,
-    /// at caps small enough to bind.
+    /// at caps small enough to bind.  The batched path is drained at
+    /// one event per fill, at a few, and at the engine's default, and
+    /// with the intervals per fill limited, and the two paths may take
+    /// turns on one mix.
     #[test]
     fn mixed_replays_match_the_reference_merge(
         recordings in proptest::collection::vec(recorded(), 2..=3),
         cap in 1u32..=8,
         target_events in 1usize..=64,
+        max_intervals in 1u64..=4,
     ) {
         let (expected, dropped) = model_mix(&recordings, cap);
         let mut mix = replay_mix(&recordings, cap);
@@ -283,11 +287,32 @@ proptest! {
         }
         prop_assert_eq!(&delivered, &expected);
         prop_assert_eq!(mix.dropped(), dropped);
-        for target in [1, target_events, 4096] {
+        for target in [1, 7, target_events, DEFAULT_BATCH_EVENTS] {
             let mut mix = replay_mix(&recordings, cap);
             prop_assert_eq!(&drain_batched(&mut mix, target), &expected);
             prop_assert_eq!(mix.dropped(), dropped);
         }
+        // Fills of at most `max_intervals` intervals, alternating with
+        // single intervals through `next_interval`.
+        let mut mix = replay_mix(&recordings, cap);
+        let mut batch = EventBatch::with_target_events(target_events);
+        let mut delivered = Vec::new();
+        loop {
+            if !mix.next_batch(&mut batch, max_intervals) {
+                break;
+            }
+            prop_assert!(batch.intervals() as u64 <= max_intervals);
+            for interval in 0..batch.intervals() {
+                delivered.push(batch.segment(interval).map(|i| batch.event(i)).collect());
+            }
+            out.clear();
+            if !mix.next_interval(&mut out) {
+                break;
+            }
+            delivered.push(out.clone());
+        }
+        prop_assert_eq!(&delivered, &expected);
+        prop_assert_eq!(mix.dropped(), dropped);
     }
 
     /// Replayed traces shard by plain per-interval bank filtering.

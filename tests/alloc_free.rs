@@ -16,7 +16,9 @@
 //!
 //! The first test drives the mitigation layer directly, isolating the
 //! decision side — the arena, the kernels, the interval turnover.  The
-//! second drives the whole engine on every backend tier, so trace
+//! second holds the scalar reference loop (`engine::run_scalar`), which
+//! decides event by event, to the same contract.  The third drives the
+//! whole engine on every backend tier, so trace
 //! delivery, replay, the aggressor ledger and device refresh are held
 //! to the same contract.  Its traces are a recording and the paper mix
 //! at seeds 3 and 5, each whole and as a bank shard, so the recording's
@@ -191,6 +193,48 @@ fn steady_state_batches_never_allocate() {
     // The contract must be proven on exercised trigger paths, not on
     // techniques idling through empty decision loops.
     assert!(total_triggers > 0, "no trigger path was exercised");
+}
+
+/// The scalar reference decides each event through `on_activate`, whose
+/// one-event batch and sink are reused per thread, so once warm it
+/// allocates nothing: a run one window longer makes exactly as many
+/// allocations, for all nine techniques.
+#[test]
+fn scalar_reference_windows_never_allocate() {
+    let base = config();
+    let counted = |windows: u64, technique: Technique| {
+        let config = RunConfig {
+            windows,
+            ..base.clone()
+        };
+        let recording = ReplayTrace::new(vec![
+            interval_events();
+            usize::try_from(config.intervals()).expect("fits")
+        ]);
+        let mut mitigation = techniques::build_any(technique, &config, 17);
+        COUNTING.with(|flag| flag.set(true));
+        let before = allocations();
+        let metrics = engine::run_scalar(recording, &mut mitigation, &config);
+        let after = allocations();
+        COUNTING.with(|flag| flag.set(false));
+        assert_eq!(metrics.flips, 0, "{technique:?}: traffic must not flip");
+        (after - before, metrics.trigger_events)
+    };
+    let mut triggers = 0;
+    for technique in Technique::TABLE3 {
+        // Warms this thread's scratch to the technique's largest burst.
+        counted(3, technique);
+        let (shorter, _) = counted(3, technique);
+        let (longer, fired) = counted(4, technique);
+        assert_eq!(
+            longer,
+            shorter,
+            "{technique:?}: the scalar reference allocated {} times in its fourth window",
+            longer.abs_diff(shorter)
+        );
+        triggers += fired;
+    }
+    assert!(triggers > 0, "no trigger path was exercised");
 }
 
 /// Arms the allocation counter from inside the engine loop: on at the
